@@ -88,7 +88,6 @@ func BenchmarkFig6TimeSplit(b *testing.B) {
 				res, err := core.Run(sctx, ds, core.Config{
 					Params:     benchParams,
 					Partitions: cores,
-					SeedMode:   core.SeedSingle,
 					Merge:      core.MergeOptions{Algo: core.MergePaper},
 				})
 				if err != nil {
@@ -167,9 +166,9 @@ func BenchmarkAblationIndex(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationSeedMode compares the three SEED-placement rules
-// (§IV-A): the paper's single-seed rule, all-boundary seeds, and exact
-// core-only seeds.
+// BenchmarkAblationSeedMode compares the two SEED-placement rules
+// (§IV-A): the paper's single-seed rule and the exact rule the
+// canonical merge consumes.
 func BenchmarkAblationSeedMode(b *testing.B) {
 	ds := benchDataset(b, "r10k", 4000)
 	tree := kdtree.Build(ds)
@@ -177,7 +176,7 @@ func BenchmarkAblationSeedMode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []core.SeedMode{core.SeedSingle, core.SeedAll, core.SeedCore} {
+	for _, mode := range []core.SeedMode{core.SeedSingle, core.SeedExact} {
 		b.Run(mode.String(), func(b *testing.B) {
 			var seeds int
 			for i := 0; i < b.N; i++ {
@@ -199,7 +198,7 @@ func BenchmarkAblationSeedMode(b *testing.B) {
 }
 
 // BenchmarkAblationMerge compares Algorithm 4 as printed against the
-// union-find fixpoint merge.
+// canonical merge, each on the partial clusters of its own seed rule.
 func BenchmarkAblationMerge(b *testing.B) {
 	ds := benchDataset(b, "r10k", 5000)
 	tree := kdtree.Build(ds)
@@ -207,20 +206,23 @@ func BenchmarkAblationMerge(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var partials []core.PartialCluster
-	for s := 0; s < part.Parts(); s++ {
-		lr, err := core.LocalDBSCAN(ds, tree, part, s,
-			core.LocalOptions{Params: benchParams, SeedMode: core.SeedAll})
-		if err != nil {
-			b.Fatal(err)
+	for _, arm := range []struct {
+		algo core.MergeAlgo
+		seed core.SeedMode
+	}{{core.MergePaper, core.SeedSingle}, {core.MergeCanonical, core.SeedExact}} {
+		var partials []core.PartialCluster
+		for s := 0; s < part.Parts(); s++ {
+			lr, err := core.LocalDBSCAN(ds, tree, part, s,
+				core.LocalOptions{Params: benchParams, SeedMode: arm.seed})
+			if err != nil {
+				b.Fatal(err)
+			}
+			partials = append(partials, lr.Clusters...)
 		}
-		partials = append(partials, lr.Clusters...)
-	}
-	for _, algo := range []core.MergeAlgo{core.MergePaper, core.MergeUnionFind} {
-		b.Run(algo.String(), func(b *testing.B) {
+		b.Run(arm.algo.String(), func(b *testing.B) {
 			var clusters int
 			for i := 0; i < b.N; i++ {
-				g := core.Merge(partials, ds.Len(), core.MergeOptions{Algo: algo})
+				g := core.Merge(partials, ds.Len(), core.MergeOptions{Algo: arm.algo})
 				clusters = g.NumClusters
 			}
 			b.ReportMetric(float64(clusters), "clusters")

@@ -120,8 +120,7 @@ func RunDBSCAN(args []string, stdout io.Writer) error {
 		partition = fs.String("partition", "range", "spatial partitioning: range (broadcast the dataset) or cell (eps-halo shuffle)")
 		cellPts   = fs.Int("cellpoints", 0, "cell mode: target home points per cell (0 = default)")
 
-		mergeAlgoFlag = fs.String("mergealgo", "", "driver merge: unionfind, paper, canonical, or parallel (default unionfind; canonical/parallel imply exact seeds)")
-		mergeWorkers  = fs.Int("mergeworkers", 0, "driver cores for -mergealgo parallel (0 = default 4)")
+		mergeWorkers = fs.Int("mergeworkers", 0, "driver cores the canonical merge shards across (0 = 1; labels are identical at any count)")
 
 		traceOut   = fs.String("trace", "", "write a Chrome/Perfetto trace of the simulated run to this JSON file")
 		metricsOut = fs.String("metrics", "", "write the metrics snapshot (incl. critical path) to this JSON file")
@@ -179,9 +178,6 @@ func RunDBSCAN(args []string, stdout io.Writer) error {
 	}
 	if partMode != coredbscan.PartRange && *cores <= 0 {
 		return fmt.Errorf("dbscan: -partition=%s needs a distributed run (-cores > 0)", partMode)
-	}
-	if *mergeAlgoFlag != "" && *cores <= 0 {
-		return fmt.Errorf("dbscan: -mergealgo selects the distributed driver merge; needs -cores > 0")
 	}
 	if *mergeWorkers != 0 && *cores <= 0 {
 		return fmt.Errorf("dbscan: -mergeworkers needs a distributed run (-cores > 0)")
@@ -248,31 +244,13 @@ func RunDBSCAN(args []string, stdout io.Writer) error {
 			rec = trace.NewRecorder()
 		}
 		sctx := spark.NewContext(spark.Config{Cores: *cores, Mode: mode, Tracer: rec})
-		seedMode := coredbscan.SeedAll
-		mergeAlgo := coredbscan.MergeUnionFind
+		mergeAlgo := coredbscan.MergeCanonical
 		if *paper {
-			seedMode = coredbscan.SeedSingle
 			mergeAlgo = coredbscan.MergePaper
-		}
-		if *mergeAlgoFlag != "" {
-			if *paper {
-				return fmt.Errorf("dbscan: -paper fixes the merge to the paper's Algorithm 4; drop -mergealgo")
-			}
-			mergeAlgo, err = coredbscan.ParseMergeAlgo(*mergeAlgoFlag)
-			if err != nil {
-				return fmt.Errorf("dbscan: %w", err)
-			}
-			if mergeAlgo == coredbscan.MergeCanonical || mergeAlgo == coredbscan.MergeParallel {
-				// Canonical labeling needs the exact-seed partial-cluster
-				// contract (the runner forces this too; set it here so the
-				// summary reflects what actually ran).
-				seedMode = coredbscan.SeedExact
-			}
 		}
 		res, err := coredbscan.Run(sctx, ds, coredbscan.Config{
 			Params:              params,
 			Partitions:          *parts,
-			SeedMode:            seedMode,
 			Merge:               coredbscan.MergeOptions{Algo: mergeAlgo, Workers: *mergeWorkers},
 			MaxNeighbors:        *prune,
 			SpatialPartitioning: *spatial,
@@ -287,15 +265,8 @@ func RunDBSCAN(args []string, stdout io.Writer) error {
 		partials = res.Global.NumPartialClusters
 		timing = res.Phases
 		dist = res.Dist
-		mergeInfo = fmt.Sprintf("merge: %s (%d merges)", mergeAlgo, res.Global.NumMerges)
-		if mergeAlgo == coredbscan.MergeParallel {
-			workers := coredbscan.DefaultMergeWorkers
-			if *mergeWorkers > 0 {
-				workers = *mergeWorkers
-			}
-			mergeInfo = fmt.Sprintf("merge: parallel on %d driver cores (%d merges)",
-				workers, res.Global.NumMerges)
-		}
+		mergeInfo = fmt.Sprintf("merge: %s, workers=%d (%d merges)",
+			res.Merge.Algo, res.Merge.Workers, res.Global.NumMerges)
 
 		if *gantt {
 			for _, s := range rec.Stages() {

@@ -329,7 +329,8 @@ func TestDBSCANPartitionFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 	cellOut := out.String()
-	for _, want := range []string{"partitioning: cell", "halo replicas", "axes split"} {
+	// The summary names the merge cell mode actually ran.
+	for _, want := range []string{"partitioning: cell", "halo replicas", "axes split", "merge: canonical"} {
 		if !strings.Contains(cellOut, want) {
 			t.Fatalf("cell output lacks %q:\n%s", want, cellOut)
 		}
@@ -349,9 +350,13 @@ func TestDBSCANPartitionFlag(t *testing.T) {
 	if err := RunDBSCAN([]string{"-in", in, "-cores", "4", "-partition", "hex"}, &out); err == nil {
 		t.Fatal("unknown partition mode accepted")
 	}
+	// Cell mode cannot run the paper's Algorithm 4.
+	if err := RunDBSCAN([]string{"-in", in, "-cores", "4", "-partition", "cell", "-paper"}, &out); err == nil {
+		t.Fatal("-partition cell -paper accepted")
+	}
 }
 
-func TestDBSCANMergeAlgoFlag(t *testing.T) {
+func TestDBSCANMergeWorkersFlag(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
 	if err := RunDatagen([]string{"-dataset", "c10k", "-scale", "0.2", "-out", dir}, &out); err != nil {
@@ -359,47 +364,40 @@ func TestDBSCANMergeAlgoFlag(t *testing.T) {
 	}
 	in := filepath.Join(dir, "c10k.txt")
 
-	// The sequential algorithms and the parallel merge must agree on the
-	// clustering; the parallel run reports its driver cores.
-	var canonicalOut, parallelOut string
+	// The canonical merge must produce the same clustering on any
+	// worker count, and the summary reports the count the run used.
+	var oneOut, eightOut string
 	for _, args := range [][]string{
-		{"-in", in, "-eps", "25", "-minpts", "5", "-cores", "4", "-mergealgo", "canonical"},
-		{"-in", in, "-eps", "25", "-minpts", "5", "-cores", "4", "-mergealgo", "parallel", "-mergeworkers", "8"},
+		{"-in", in, "-eps", "25", "-minpts", "5", "-cores", "4"},
+		{"-in", in, "-eps", "25", "-minpts", "5", "-cores", "4", "-mergeworkers", "8"},
 	} {
 		out.Reset()
 		if err := RunDBSCAN(args, &out); err != nil {
 			t.Fatal(err)
 		}
-		s := out.String()
-		if !strings.Contains(s, "merge: ") {
-			t.Fatalf("summary lacks the merge line:\n%s", s)
-		}
-		if canonicalOut == "" {
-			canonicalOut = s
+		if oneOut == "" {
+			oneOut = out.String()
 		} else {
-			parallelOut = s
+			eightOut = out.String()
 		}
 	}
-	if !strings.Contains(parallelOut, "merge: parallel on 8 driver cores") {
-		t.Fatalf("parallel summary lacks worker count:\n%s", parallelOut)
+	if !strings.Contains(oneOut, "merge: canonical, workers=1 ") {
+		t.Fatalf("default summary lacks the effective merge:\n%s", oneOut)
+	}
+	if !strings.Contains(eightOut, "merge: canonical, workers=8 ") {
+		t.Fatalf("summary lacks the worker count:\n%s", eightOut)
 	}
 	for _, line := range []string{"clusters:", "noise:", "partial clusters:"} {
-		c := canonicalOut[strings.Index(canonicalOut, line):][:24]
-		p := parallelOut[strings.Index(parallelOut, line):][:24]
+		c := oneOut[strings.Index(oneOut, line):][:24]
+		p := eightOut[strings.Index(eightOut, line):][:24]
 		if c != p {
-			t.Fatalf("merge algorithms disagree: %q vs %q", c, p)
+			t.Fatalf("worker counts disagree: %q vs %q", c, p)
 		}
 	}
 
 	// Validation.
-	if err := RunDBSCAN([]string{"-in", in, "-cores", "4", "-mergealgo", "quantum"}, &out); err == nil {
-		t.Fatal("unknown -mergealgo accepted")
-	}
-	if err := RunDBSCAN([]string{"-in", in, "-cores", "4", "-paper", "-mergealgo", "parallel"}, &out); err == nil {
-		t.Fatal("-paper with -mergealgo accepted")
-	}
-	if err := RunDBSCAN([]string{"-in", in, "-mergealgo", "parallel"}, &out); err == nil {
-		t.Fatal("-mergealgo without -cores accepted")
+	if err := RunDBSCAN([]string{"-in", in, "-cores", "4", "-paper", "-mergeworkers", "8"}, &out); err == nil {
+		t.Fatal("-paper with -mergeworkers 8 accepted")
 	}
 	if err := RunDBSCAN([]string{"-in", in, "-mergeworkers", "4"}, &out); err == nil {
 		t.Fatal("-mergeworkers without -cores accepted")
@@ -419,7 +417,7 @@ func TestBenchMergeBench(t *testing.T) {
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("report missing: %v", err)
 	}
-	for _, want := range []string{"speedup", "canonical", "parallel", "critical-path share"} {
+	for _, want := range []string{"speedup", "canonical", "workers=8", "critical-path share"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("output lacks %q:\n%s", want, out.String())
 		}

@@ -187,12 +187,7 @@ func runMode(t *testing.T, ds *geom.Dataset, params dbscan.Params, mode Partitio
 	parts int, cell CellOptions) *Result {
 	t.Helper()
 	sctx := spark.NewContext(spark.Config{Cores: 8, Seed: 42})
-	cfg := Config{Params: params, Partitions: parts, Partitioning: mode, Cell: cell}
-	if mode == PartRange {
-		cfg.SeedMode = SeedExact
-		cfg.Merge.Algo = MergeCanonical
-	}
-	res, err := Run(sctx, ds, cfg)
+	res, err := Run(sctx, ds, Config{Params: params, Partitions: parts, Partitioning: mode, Cell: cell})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +198,7 @@ func runMode(t *testing.T, ds *geom.Dataset, params dbscan.Params, mode Partitio
 // across datasets, eps values, partition counts and cell sizes —
 // including sides smaller than eps (multi-ring halos), grids with empty
 // cells, and one giant cell holding every point — cell mode, range mode
-// under SeedExact/MergeCanonical, and sequential DBSCAN produce
+// (both on the default canonical merge), and sequential DBSCAN produce
 // byte-identical label arrays.
 func TestCellLabelsByteIdentical(t *testing.T) {
 	eps0 := tableParams.Eps

@@ -39,12 +39,9 @@ func sequential(t *testing.T, ds *geom.Dataset) (*dbscan.Result, *kdtree.Tree) {
 }
 
 // TestLocalPlusMergeEquivalence is the central correctness test: across
-// datasets, partition counts and seed modes, the distributed pipeline
-// (local clustering + driver merge) must reproduce sequential DBSCAN up
-// to DBSCAN's inherent border ambiguity. SeedCore guarantees exact core
-// co-clustering; SeedAll must at minimum keep every sequential cluster
-// whole (it may merge clusters that share a border point, which
-// sequential DBSCAN splits arbitrarily).
+// datasets and partition counts, the distributed pipeline (SeedExact
+// local clustering + the default canonical merge) must reproduce
+// sequential DBSCAN's labels byte for byte.
 func TestLocalPlusMergeEquivalence(t *testing.T) {
 	for _, dsName := range []string{"c10k", "r10k"} {
 		ds := testDataset(t, dsName, 3000)
@@ -54,61 +51,22 @@ func TestLocalPlusMergeEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, mode := range []SeedMode{SeedAll, SeedCore} {
-				var partials []PartialCluster
-				for s := 0; s < parts; s++ {
-					lr, err := LocalDBSCAN(ds, tree, part, s, LocalOptions{Params: tableParams, SeedMode: mode})
-					if err != nil {
-						t.Fatal(err)
-					}
-					partials = append(partials, lr.Clusters...)
-				}
-				global := Merge(partials, ds.Len(), MergeOptions{Algo: MergeUnionFind})
-				rep, err := eval.EquivCheck(ds, ref, global.Labels, tableParams, tree)
+			var partials []PartialCluster
+			for s := 0; s < parts; s++ {
+				lr, err := LocalDBSCAN(ds, tree, part, s, LocalOptions{Params: tableParams, SeedMode: SeedExact})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if mode == SeedCore {
-					if !rep.Exact() {
-						t.Fatalf("%s parts=%d mode=%v: not equivalent: %v", dsName, parts, mode, rep)
-					}
-					if global.NumClusters != ref.NumClusters {
-						t.Fatalf("%s parts=%d mode=%v: %d clusters, sequential found %d",
-							dsName, parts, mode, global.NumClusters, ref.NumClusters)
-					}
-				} else {
-					// SeedAll: noise must agree and no sequential
-					// cluster may be split (merging through shared
-					// borders is allowed, splitting is not).
-					if !rep.NoiseExact {
-						t.Fatalf("%s parts=%d mode=%v: noise differs: %v", dsName, parts, mode, rep)
-					}
-					if split := clustersSplit(ref, global.Labels); split > 0 {
-						t.Fatalf("%s parts=%d mode=%v: %d sequential clusters split", dsName, parts, mode, split)
-					}
-				}
+				partials = append(partials, lr.Clusters...)
+			}
+			global := Merge(partials, ds.Len(), MergeOptions{})
+			compareLabels(t, fmt.Sprintf("%s parts=%d", dsName, parts), ref.Labels, global.Labels)
+			if global.NumClusters != ref.NumClusters || global.NumNoise != ref.NumNoise {
+				t.Fatalf("%s parts=%d: %d clusters/%d noise, sequential %d/%d", dsName, parts,
+					global.NumClusters, global.NumNoise, ref.NumClusters, ref.NumNoise)
 			}
 		}
 	}
-}
-
-// clustersSplit counts sequential clusters whose core points carry more
-// than one parallel label.
-func clustersSplit(ref *dbscan.Result, labels []int32) int {
-	first := make(map[int32]int32)
-	split := make(map[int32]bool)
-	for i, rl := range ref.Labels {
-		if !ref.Core[i] {
-			continue
-		}
-		pl := labels[i]
-		if prev, ok := first[rl]; !ok {
-			first[rl] = pl
-		} else if prev != pl {
-			split[rl] = true
-		}
-	}
-	return len(split)
 }
 
 func TestSinglePartitionMatchesSequentialExactly(t *testing.T) {
@@ -119,7 +77,7 @@ func TestSinglePartitionMatchesSequentialExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	global := Merge(lr.Clusters, ds.Len(), MergeOptions{})
+	global := Merge(lr.Clusters, ds.Len(), MergeOptions{Algo: MergePaper})
 	// With one partition there are no seeds at all and the result must
 	// be label-for-label identical (same visit order).
 	if len(lr.Clusters) != ref.NumClusters {
@@ -144,7 +102,7 @@ func TestSeedsAreForeignAndMembersAreLocal(t *testing.T) {
 	part, _ := NewPartitioner(ds.Len(), parts)
 	for s := 0; s < parts; s++ {
 		lo, hi := part.Range(s)
-		for _, mode := range []SeedMode{SeedSingle, SeedAll, SeedCore} {
+		for _, mode := range []SeedMode{SeedSingle, SeedExact} {
 			lr, err := LocalDBSCAN(ds, tree, part, s, LocalOptions{Params: tableParams, SeedMode: mode})
 			if err != nil {
 				t.Fatal(err)
@@ -160,12 +118,14 @@ func TestSeedsAreForeignAndMembersAreLocal(t *testing.T) {
 						t.Fatalf("mode=%v: seed %d inside own partition", mode, sd)
 					}
 				}
+				// SeedExact records reached owned non-cores as Borders;
+				// SeedSingle keeps them as Members.
 				for _, b := range pc.Borders {
-					if b >= lo && b < hi {
-						t.Fatalf("mode=%v: border %d inside own partition", mode, b)
+					if b < lo || b >= hi {
+						t.Fatalf("mode=%v: border %d outside [%d,%d)", mode, b, lo, hi)
 					}
 				}
-				if mode != SeedCore && len(pc.Borders) != 0 {
+				if mode == SeedSingle && len(pc.Borders) != 0 {
 					t.Fatalf("mode=%v produced Borders", mode)
 				}
 			}
@@ -210,7 +170,7 @@ func TestMembersPartitionWholePartition(t *testing.T) {
 	seen := make(map[int32]int)
 	totalNoise := 0
 	for s := 0; s < parts; s++ {
-		lr, err := LocalDBSCAN(ds, tree, part, s, LocalOptions{Params: tableParams, SeedMode: SeedAll})
+		lr, err := LocalDBSCAN(ds, tree, part, s, LocalOptions{Params: tableParams, SeedMode: SeedSingle})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +214,7 @@ func TestPartialClusterCountGrowsWithPartitions(t *testing.T) {
 	}
 }
 
-func TestMergePaperVsUnionFindOnTransitiveChain(t *testing.T) {
+func TestMergePaperVsCanonicalOnTransitiveChain(t *testing.T) {
 	// Hand-built scenario with a transitive merge chain A->B->C where
 	// Algorithm 4's single pass needs its status bookkeeping to work:
 	// cluster 0 seeds into 1, cluster 1 seeds into 2.
@@ -263,9 +223,9 @@ func TestMergePaperVsUnionFindOnTransitiveChain(t *testing.T) {
 		{Partition: 1, Seq: 0, Members: []int32{4, 5}, Seeds: []int32{8}},
 		{Partition: 2, Seq: 0, Members: []int32{8, 9}, Seeds: nil},
 	}
-	uf := Merge(partials, 12, MergeOptions{Algo: MergeUnionFind})
-	if uf.NumClusters != 1 {
-		t.Fatalf("union-find: %d clusters, want 1", uf.NumClusters)
+	canon := Merge(partials, 12, MergeOptions{})
+	if canon.NumClusters != 1 {
+		t.Fatalf("canonical: %d clusters, want 1", canon.NumClusters)
 	}
 	paper := Merge(partials, 12, MergeOptions{Algo: MergePaper})
 	// The paper's pass visits cluster 0 (absorbs 1), then cluster 1 is
@@ -273,7 +233,7 @@ func TestMergePaperVsUnionFindOnTransitiveChain(t *testing.T) {
 	// of 1 — unless the component pointers saved it. Whatever the
 	// outcome, members of one sequential cluster must never end up
 	// relabeled inconsistently with the unioned chain in the
-	// union-find result; here we simply document the difference.
+	// canonical result; here we simply document the difference.
 	if paper.NumClusters < 1 || paper.NumClusters > 2 {
 		t.Fatalf("paper merge produced %d clusters", paper.NumClusters)
 	}
@@ -330,13 +290,11 @@ func TestRunEndToEnd(t *testing.T) {
 	ref, tree := sequential(t, ds)
 	for _, cores := range []int{1, 4, 8} {
 		sctx := spark.NewContext(spark.Config{Cores: cores, Seed: 42})
-		res, err := Run(sctx, ds, Config{
-			Params:   tableParams,
-			SeedMode: SeedCore,
-		})
+		res, err := Run(sctx, ds, Config{Params: tableParams})
 		if err != nil {
 			t.Fatal(err)
 		}
+		compareLabels(t, fmt.Sprintf("cores=%d", cores), ref.Labels, res.Global.Labels)
 		rep, err := eval.EquivCheck(ds, ref, res.Global.Labels, tableParams, tree)
 		if err != nil {
 			t.Fatal(err)
@@ -381,9 +339,8 @@ func TestRunPaperDefaultsMatchOnCleanData(t *testing.T) {
 	ref, tree := sequential(t, ds)
 	sctx := spark.NewContext(spark.Config{Cores: 4, Seed: 5})
 	res, err := Run(sctx, ds, Config{
-		Params:   tableParams,
-		SeedMode: SeedSingle,
-		Merge:    MergeOptions{Algo: MergePaper},
+		Params: tableParams,
+		Merge:  MergeOptions{Algo: MergePaper},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -402,7 +359,6 @@ func TestRunWithPruning(t *testing.T) {
 	sctx := spark.NewContext(spark.Config{Cores: 4})
 	res, err := Run(sctx, ds, Config{
 		Params:       tableParams,
-		SeedMode:     SeedAll,
 		MaxNeighbors: 16,
 	})
 	if err != nil {

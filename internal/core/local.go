@@ -90,25 +90,16 @@ func LocalDBSCAN(ds *geom.Dataset, idx kdtree.Index, part Partitioner, split int
 	// epoch (the cluster's Seq+1, never zero). A slot whose stamp
 	// differs from the current epoch is unseen for this cluster.
 	var seedPlaced []int32  // SeedSingle: one stamp per partition
-	var foreignSeen []int32 // SeedAll/SeedCore: one stamp per point
-	switch opts.SeedMode {
-	case SeedSingle:
-		seedPlaced = make([]int32, part.Parts())
-	default:
-		foreignSeen = make([]int32, ds.Len())
-	}
-	// SeedCore memoisation is partition-lifetime, not per-cluster:
-	// 0 = unknown, 1 = core, 2 = non-core.
-	var coreSeen []uint8
-	if opts.SeedMode == SeedCore {
-		coreSeen = make([]uint8, ds.Len())
-	}
-	// SeedExact tracks which owned points proved core, because only
+	var foreignSeen []int32 // SeedExact: one stamp per point
+	// SeedExact also tracks which owned points proved core, because only
 	// cores become Members; reached non-cores go to Borders of every
 	// reaching cluster (foreignSeen doubles as the per-cluster dedup
 	// stamp for owned borders — it is indexed by global point index).
 	var coreLocal []bool
-	if opts.SeedMode == SeedExact {
+	if opts.SeedMode == SeedSingle {
+		seedPlaced = make([]int32, part.Parts())
+	} else {
+		foreignSeen = make([]int32, ds.Len())
 		coreLocal = make([]bool, local)
 	}
 
@@ -169,37 +160,15 @@ func LocalDBSCAN(ds *geom.Dataset, idx kdtree.Index, part Partitioner, split int
 				// Foreign point: place a SEED (Algorithm 3), never
 				// expand.
 				w.HashOps++
-				switch opts.SeedMode {
-				case SeedSingle:
+				if opts.SeedMode == SeedSingle {
 					owner := part.Owner(p)
 					if seedPlaced[owner] != epoch {
 						seedPlaced[owner] = epoch
 						pc.Seeds = append(pc.Seeds, p)
 					}
-				case SeedAll, SeedExact:
-					if foreignSeen[p] != epoch {
-						foreignSeen[p] = epoch
-						pc.Seeds = append(pc.Seeds, p)
-					}
-				case SeedCore:
-					if foreignSeen[p] != epoch {
-						foreignSeen[p] = epoch
-						st := coreSeen[p]
-						if st == 0 {
-							cnt := idx.RadiusCount(ds.At(p), eps, &res.Stats)
-							if cnt >= minPts {
-								st = 1
-							} else {
-								st = 2
-							}
-							coreSeen[p] = st
-						}
-						if st == 1 {
-							pc.Seeds = append(pc.Seeds, p)
-						} else {
-							pc.Borders = append(pc.Borders, p)
-						}
-					}
+				} else if foreignSeen[p] != epoch {
+					foreignSeen[p] = epoch
+					pc.Seeds = append(pc.Seeds, p)
 				}
 				continue
 			}

@@ -2,93 +2,65 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"sparkdbscan/internal/dbscan"
-	"sparkdbscan/internal/dsu"
 	"sparkdbscan/internal/simtime"
 )
 
-// MergeAlgo selects the driver-side merge strategy.
+// MergeAlgo selects the driver-side merge strategy. Each algorithm
+// consumes the partial clusters of one Algorithm 3 seed rule; Run
+// derives the rule from the merge (see seedMode).
 type MergeAlgo int
 
 const (
-	// MergeUnionFind resolves every SEED to its master partial cluster
-	// and unions the two in a disjoint-set forest, then emits the
-	// connected components. It converges for arbitrary transitive
-	// chains and is the default.
-	MergeUnionFind MergeAlgo = iota
-	// MergePaper is Algorithm 4 exactly as printed: a single pass over
-	// partial clusters with unfinished/finished statuses, each seed
-	// pulling its master cluster into the current one. It can miss
-	// transitive merges (see the merge ablation and its tests).
-	MergePaper
-	// MergeCanonical resolves the cluster graph with union-find like
-	// MergeUnionFind, then labels canonically: components are numbered
-	// by their globally lowest-index core point (each SeedExact
+	// MergeCanonical is the default. It resolves the seed graph on a
+	// lock-free union-find and labels canonically: components are
+	// numbered by their globally lowest-index core point (each SeedExact
 	// partial's Members[0]) ascending, and border points take the
-	// *minimum* label among all clusters claiming them. With partials
-	// produced under SeedExact this reproduces sequential DBSCAN's
-	// labels byte for byte — sequential numbers clusters by lowest core
-	// index too, and expands whole clusters in label order, so a shared
-	// border always keeps the lowest claiming label — and it is
-	// independent of the order partials arrive in, unlike the
-	// first-appearance painting of the other two algorithms. See
-	// DESIGN.md §13.
-	MergeCanonical
-	// MergeParallel computes exactly MergeCanonical's output — labels,
-	// NumMerges and the metered Work are pinned byte-identical across
-	// worker counts — but shards the accumulator receive, the masterOf
-	// index build, the seed-graph edge scan (over a concurrent
-	// union-find) and the label-painting passes across
-	// MergeOptions.Workers real goroutines, and prices the phase in
-	// simtime under that many driver cores. Canonical labeling is a pure
-	// function of the partial-cluster set (min/sort over commutative
-	// reductions), which is exactly what makes it parallelizable. See
-	// DESIGN.md §14.
-	MergeParallel
+	// *minimum* label among all clusters claiming them. On SeedExact
+	// partials this reproduces sequential DBSCAN's labels byte for byte
+	// — sequential numbers clusters by lowest core index too, and
+	// expands whole clusters in label order, so a shared border always
+	// keeps the lowest claiming label. Every step is a pure function of
+	// the partial-cluster set, so the output cannot depend on
+	// accumulator commit order or goroutine scheduling, and the passes
+	// shard across MergeOptions.Workers driver cores. See DESIGN.md §13
+	// and §14.
+	MergeCanonical MergeAlgo = iota
+	// MergePaper is Algorithm 4 exactly as printed, on SeedSingle
+	// partials: a single pass over partial clusters with
+	// unfinished/finished statuses, each seed pulling its master cluster
+	// into the current one, and labels painted in first-appearance
+	// order. It can miss transitive merges (see the merge ablation and
+	// its tests). The paper figures and the ablation use it.
+	MergePaper
 )
 
 func (m MergeAlgo) String() string {
 	switch m {
-	case MergeUnionFind:
-		return "unionfind"
-	case MergePaper:
-		return "paper"
 	case MergeCanonical:
 		return "canonical"
-	case MergeParallel:
-		return "parallel"
+	case MergePaper:
+		return "paper"
 	default:
 		return fmt.Sprintf("MergeAlgo(%d)", int(m))
 	}
 }
 
-// ParseMergeAlgo parses the CLI spelling of a merge algorithm.
-func ParseMergeAlgo(s string) (MergeAlgo, error) {
-	switch s {
-	case "unionfind":
-		return MergeUnionFind, nil
-	case "paper":
-		return MergePaper, nil
-	case "canonical":
-		return MergeCanonical, nil
-	case "parallel":
-		return MergeParallel, nil
-	default:
-		return 0, fmt.Errorf("core: unknown merge algorithm %q (want unionfind, paper, canonical or parallel)", s)
+// seedMode returns the Algorithm 3 rule whose partial clusters the
+// merge consumes: the paper's single seed per foreign partition for
+// Algorithm 4, the exact contract for canonical labeling.
+func (m MergeAlgo) seedMode() SeedMode {
+	if m == MergePaper {
+		return SeedSingle
 	}
+	return SeedExact
 }
 
 // perClusterReceiveOps prices the driver-side deserialization of one
 // partial-cluster object arriving through the accumulator, in MergeOp
 // units (~8 ms per cluster under the default model).
 const perClusterReceiveOps = 6700
-
-// DefaultMergeWorkers is the driver-core count MergeParallel uses when
-// MergeOptions.Workers is zero. A fixed constant rather than
-// runtime.NumCPU() so simulated timings are machine-independent.
-const DefaultMergeWorkers = 4
 
 // MergeOptions configures the driver merge.
 type MergeOptions struct {
@@ -97,23 +69,11 @@ type MergeOptions struct {
 	// before merging — the paper's r1m filter ("we filter out those
 	// partial clusters whose size is too small"). 0 keeps everything.
 	MinPartialClusterSize int
-	// Workers is the driver-core count MergeParallel shards across:
-	// both the real goroutines that execute the merge and the core
-	// count the phase is priced under in simtime. 0 selects
-	// DefaultMergeWorkers. Ignored by the sequential algorithms.
+	// Workers is the driver-core count the canonical merge shards
+	// across: both the real goroutines that execute it and the core
+	// count the phase is priced under in simtime. 0 means 1. MergePaper
+	// is sequential; Run rejects it with more than one worker.
 	Workers int
-}
-
-// effectiveWorkers returns the driver-core count the merge phase runs
-// (and is priced) under: 1 for the sequential algorithms.
-func (o MergeOptions) effectiveWorkers() int {
-	if o.Algo != MergeParallel {
-		return 1
-	}
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return DefaultMergeWorkers
 }
 
 // GlobalResult is the final clustering assembled by the driver.
@@ -135,60 +95,80 @@ type GlobalResult struct {
 	// term).
 	Work simtime.Work
 	// SerialWork is the sub-ledger of Work that cannot leave one driver
-	// core — the input to simtime's ParallelSeconds pricing. For the
-	// sequential algorithms it equals Work (everything is serial); for
-	// MergeParallel it is the single-threaded residue between the
-	// sharded passes (the canonical component sort).
+	// core — the input to simtime's ParallelSeconds pricing. For
+	// MergePaper it equals Work (everything is serial); for
+	// MergeCanonical it is the single-threaded residue between the
+	// sharded passes (the component sort).
 	SerialWork simtime.Work
 }
 
 // Merge combines the executors' partial clusters into global clusters
 // over n points.
 func Merge(partials []PartialCluster, n int, opts MergeOptions) *GlobalResult {
-	if opts.Algo == MergeParallel {
-		return mergeParallel(partials, n, opts)
-	}
 	res := &GlobalResult{
 		Labels:             make([]int32, n),
 		NumPartialClusters: len(partials),
 	}
+	partials = receive(partials, opts, res)
+	if opts.Algo == MergePaper {
+		mergePaper(partials, res)
+	} else {
+		mergeCanonical(partials, opts.Workers, res)
+	}
+	return res
+}
+
+// receive charges the accumulator reception and applies the driver-side
+// size filter, returning the partials that take part in the merge.
+//
+// Before anything can be merged or filtered, the driver deserializes
+// every partial-cluster object shipped back by the executors. The
+// per-cluster constant dominates the per-element cost in a JVM (object
+// graph allocation, boxing); it is what makes the paper's driver time
+// climb from 121 s to 2226 s as the partial-cluster count grows from
+// 720 to 9279 (Fig. 6c) and what caps the total-time speedup at 32
+// cores (Fig. 8d). Executor-side filtering (LocalOptions.MinClusterSize)
+// avoids this cost; the driver-side filter does not. The canonical
+// merge keeps the charge out of SerialWork: each shard rebuilds its own
+// clusters' object graphs, so the receive parallelizes with the rest.
+func receive(partials []PartialCluster, opts MergeOptions, res *GlobalResult) []PartialCluster {
+	res.Work.MergeOps += int64(len(partials)) * perClusterReceiveOps
+	if opts.MinPartialClusterSize <= 1 {
+		return partials
+	}
+	kept := partials[:0:0]
+	for _, pc := range partials {
+		if pc.Size() >= opts.MinPartialClusterSize {
+			kept = append(kept, pc)
+		} else {
+			res.DroppedPartials++
+		}
+	}
+	return kept
+}
+
+// mergePaper is Algorithm 4 verbatim: one pass, current cluster absorbs
+// each seed's master cluster, statuses flip from unfinished to
+// finished. Seeds discovered through absorption are not re-chased in
+// the same pass — that is the algorithm as printed, and the tests
+// demonstrate the transitive chains it misses. Labels are then painted
+// in first-appearance order. Everything runs on one driver core, so
+// SerialWork is the whole ledger.
+func mergePaper(partials []PartialCluster, res *GlobalResult) {
+	w := &res.Work
+	defer func() { res.SerialWork = res.Work }()
 	for i := range res.Labels {
 		res.Labels[i] = dbscan.Noise
 	}
-	w := &res.Work
-
-	// Accumulator reception: before anything can be merged or
-	// filtered, the driver deserializes every partial-cluster object
-	// shipped back by the executors. The per-cluster constant dominates
-	// the per-element cost in a JVM (object graph allocation, boxing);
-	// it is what makes the paper's driver time climb from 121 s to
-	// 2226 s as the partial-cluster count grows from 720 to 9279
-	// (Fig. 6c) and what caps the total-time speedup at 32 cores
-	// (Fig. 8d). Executor-side filtering (LocalOptions.MinClusterSize)
-	// avoids this cost; the driver-side filter below does not.
-	w.MergeOps += int64(len(partials)) * perClusterReceiveOps
-
-	if opts.MinPartialClusterSize > 1 {
-		kept := partials[:0:0]
-		for _, pc := range partials {
-			if pc.Size() >= opts.MinPartialClusterSize {
-				kept = append(kept, pc)
-			} else {
-				res.DroppedPartials++
-			}
-		}
-		partials = kept
-	}
 	m := len(partials)
 	if m == 0 {
-		res.NumNoise = n
-		res.SerialWork = res.Work
-		return res
+		res.NumNoise = len(res.Labels)
+		return
 	}
 
 	// Index: point -> partial cluster owning it as a *regular member*
 	// ("find master partial cluster index", Algorithm 4 line 5).
-	masterOf := make([]int32, n)
+	masterOf := make([]int32, len(res.Labels))
 	for i := range masterOf {
 		masterOf[i] = -1
 	}
@@ -199,189 +179,11 @@ func Merge(partials []PartialCluster, n int, opts MergeOptions) *GlobalResult {
 		}
 	}
 
-	var componentOf []int32
-	switch opts.Algo {
-	case MergePaper:
-		componentOf = mergePaper(partials, masterOf, res)
-	default:
-		componentOf = mergeUnionFind(partials, masterOf, res)
-	}
-
-	if opts.Algo == MergeCanonical {
-		canonicalLabels(partials, componentOf, masterOf, res)
-		res.NumNoise = 0
-		for _, l := range res.Labels {
-			if l == dbscan.Noise {
-				res.NumNoise++
-			}
-		}
-		w.MergeOps += int64(n) // final label scan
-		res.SerialWork = res.Work
-		return res
-	}
-
-	// Assemble labels: relabel components densely in order of first
-	// appearance, then paint members, seeds and borders (seeds are
-	// elements of the merged cluster, Figure 4b). First writer wins on
-	// conflicts, mirroring sequential DBSCAN's first-come border
-	// assignment.
-	compLabel := make(map[int32]int32, m)
-	next := int32(0)
-	paint := func(pt int32, comp int32) {
-		w.MergeOps++
-		if res.Labels[pt] != dbscan.Noise {
-			return
-		}
-		lbl, ok := compLabel[comp]
-		if !ok {
-			lbl = next
-			compLabel[comp] = lbl
-			next++
-		}
-		res.Labels[pt] = lbl
-	}
-	for ci := range partials {
-		comp := componentOf[ci]
-		for _, pt := range partials[ci].Members {
-			paint(pt, comp)
-		}
-	}
-	for ci := range partials {
-		comp := componentOf[ci]
-		for _, pt := range partials[ci].Seeds {
-			paint(pt, comp)
-		}
-		for _, pt := range partials[ci].Borders {
-			paint(pt, comp)
-		}
-	}
-	res.NumClusters = int(next)
-	for _, l := range res.Labels {
-		if l == dbscan.Noise {
-			res.NumNoise++
-		}
-	}
-	w.MergeOps += int64(n) // final label scan
-	res.SerialWork = res.Work
-	return res
-}
-
-// mergeUnionFind builds the seed graph and returns each partial
-// cluster's component representative.
-func mergeUnionFind(partials []PartialCluster, masterOf []int32, res *GlobalResult) []int32 {
-	d := dsu.New(len(partials))
-	for ci := range partials {
-		for _, s := range partials[ci].Seeds {
-			res.Work.MergeOps++
-			master := masterOf[s]
-			if master >= 0 && master != int32(ci) {
-				if d.Union(int32(ci), master) {
-					res.NumMerges++
-				}
-			}
-		}
-	}
-	comp := make([]int32, len(partials))
-	for i := range comp {
-		comp[i] = d.Find(int32(i))
-	}
-	return comp
-}
-
-// canonicalLabels implements MergeCanonical's label assembly. It
-// assumes the SeedExact contract: Members hold only core points with
-// Members[0] the partial's lowest-index core, Seeds hold reached
-// foreign points (core iff a member somewhere), Borders hold reached
-// non-core points. Every step is a pure function of the partial-cluster
-// *set* — min/sort over commutative reductions — so the result cannot
-// depend on accumulator commit order.
-func canonicalLabels(partials []PartialCluster, componentOf, masterOf []int32, res *GlobalResult) {
-	w := &res.Work
-
-	// Each component's canonical id is the minimum Members[0] across its
-	// partials: the globally lowest-index core point of the merged
-	// cluster — exactly the point at which sequential DBSCAN opens that
-	// cluster.
-	minCore := make(map[int32]int32, len(partials))
-	for ci := range partials {
-		if len(partials[ci].Members) == 0 {
-			continue // defensive: SeedExact never emits memberless partials
-		}
-		comp := componentOf[ci]
-		start := partials[ci].Members[0]
-		if cur, ok := minCore[comp]; !ok || start < cur {
-			minCore[comp] = start
-		}
-		w.MergeOps++
-	}
-
-	// Number components by ascending canonical core index — sequential
-	// DBSCAN's cluster numbering.
-	type compStart struct{ comp, start int32 }
-	order := make([]compStart, 0, len(minCore))
-	for comp, start := range minCore {
-		order = append(order, compStart{comp, start})
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i].start < order[j].start })
-	w.SortComps += sortCost(len(order))
-	compLabel := make(map[int32]int32, len(order))
-	for i, cs := range order {
-		compLabel[cs.comp] = int32(i)
-	}
-	res.NumClusters = len(order)
-
-	// Cores first: every member belongs to exactly one partial, so this
-	// is a plain assignment.
-	for ci := range partials {
-		lbl, ok := compLabel[componentOf[ci]]
-		if !ok {
-			continue
-		}
-		for _, pt := range partials[ci].Members {
-			res.Labels[pt] = lbl
-			w.MergeOps++
-		}
-	}
-	// Borders second: a non-core point reached by several clusters takes
-	// the minimum claiming label — sequential DBSCAN expands clusters
-	// fully in label order, so the first (lowest-label) cluster to reach
-	// a border adopts it. Seeds that are members somewhere are cores,
-	// already painted above.
-	claim := func(pt, lbl int32) {
-		w.MergeOps++
-		if res.Labels[pt] == dbscan.Noise || lbl < res.Labels[pt] {
-			res.Labels[pt] = lbl
-		}
-	}
-	for ci := range partials {
-		lbl, ok := compLabel[componentOf[ci]]
-		if !ok {
-			continue
-		}
-		for _, pt := range partials[ci].Seeds {
-			if masterOf[pt] < 0 {
-				claim(pt, lbl)
-			} else {
-				w.MergeOps++
-			}
-		}
-		for _, pt := range partials[ci].Borders {
-			claim(pt, lbl)
-		}
-	}
-}
-
-// mergePaper is Algorithm 4 verbatim: one pass, current cluster absorbs
-// each seed's master cluster, statuses flip from unfinished to
-// finished. Seeds discovered through absorption are not re-chased in
-// the same pass — that is the algorithm as printed, and the tests
-// demonstrate the transitive chains it misses.
-func mergePaper(partials []PartialCluster, masterOf []int32, res *GlobalResult) []int32 {
-	comp := make([]int32, len(partials))
+	comp := make([]int32, m)
 	for i := range comp {
 		comp[i] = int32(i)
 	}
-	finished := make([]bool, len(partials))
+	finished := make([]bool, m)
 	find := func(c int32) int32 {
 		for comp[c] != c {
 			c = comp[c]
@@ -393,7 +195,7 @@ func mergePaper(partials []PartialCluster, masterOf []int32, res *GlobalResult) 
 			continue
 		}
 		for _, s := range partials[ci].Seeds {
-			res.Work.MergeOps++
+			w.MergeOps++
 			master := masterOf[s]
 			if master < 0 || master == int32(ci) {
 				continue
@@ -402,7 +204,7 @@ func mergePaper(partials []PartialCluster, masterOf []int32, res *GlobalResult) 
 			// master was already absorbed into another cluster, its
 			// elements live at its representative, so the union targets
 			// that representative. What stays single-pass — and what
-			// makes this weaker than the union-find variant — is that a
+			// makes this weaker than the canonical merge — is that a
 			// finished cluster's *own seeds* are never chased (the
 			// outer status check at line 2 skips it).
 			root := find(int32(ci))
@@ -415,8 +217,47 @@ func mergePaper(partials []PartialCluster, masterOf []int32, res *GlobalResult) 
 		}
 		finished[ci] = true
 	}
-	for i := range comp {
-		comp[i] = find(int32(i))
+
+	// Assemble labels: relabel components densely in order of first
+	// appearance, then paint members, seeds and borders (seeds are
+	// elements of the merged cluster, Figure 4b). First writer wins on
+	// conflicts, mirroring sequential DBSCAN's first-come border
+	// assignment.
+	compLabel := make(map[int32]int32, m)
+	next := int32(0)
+	paint := func(pt int32, c int32) {
+		w.MergeOps++
+		if res.Labels[pt] != dbscan.Noise {
+			return
+		}
+		lbl, ok := compLabel[c]
+		if !ok {
+			lbl = next
+			compLabel[c] = lbl
+			next++
+		}
+		res.Labels[pt] = lbl
 	}
-	return comp
+	for ci := range partials {
+		c := find(int32(ci))
+		for _, pt := range partials[ci].Members {
+			paint(pt, c)
+		}
+	}
+	for ci := range partials {
+		c := find(int32(ci))
+		for _, pt := range partials[ci].Seeds {
+			paint(pt, c)
+		}
+		for _, pt := range partials[ci].Borders {
+			paint(pt, c)
+		}
+	}
+	res.NumClusters = int(next)
+	for _, l := range res.Labels {
+		if l == dbscan.Noise {
+			res.NumNoise++
+		}
+	}
+	w.MergeOps += int64(len(res.Labels)) // final label scan
 }

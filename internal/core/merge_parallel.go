@@ -9,11 +9,15 @@ import (
 	"sparkdbscan/internal/dsu"
 )
 
-// mergeParallel is MergeCanonical executed on opts.effectiveWorkers()
-// real goroutines. Every pass shards the partial-cluster slice (or the
-// point range) into contiguous chunks with a barrier between passes:
+// mergeCanonical is the MergeCanonical label assembly, executed on
+// `workers` real goroutines (0 means 1). It assumes the SeedExact
+// contract: Members hold only core points with Members[0] the
+// partial's lowest-index core, Seeds hold reached foreign points (core
+// iff a member somewhere), Borders hold reached non-core points. Every
+// pass shards the partial-cluster slice (or the point range) into
+// contiguous chunks with a barrier between passes:
 //
-//	receive ─ masterOf build ─ edge scan (concurrent DSU) ─ Find all
+//	masterOf build ─ edge scan (concurrent DSU) ─ Find all
 //	  ─ per-shard min-core maps ─ [serial: reduce + sort components]
 //	  ─ member paint ─ seed/border claims (atomic min-CAS) ─ noise scan
 //
@@ -24,36 +28,15 @@ import (
 // NumMerges = m − Sets() counts exactly the pairs united regardless of
 // which goroutine's Union won each race; border/seed claims take the
 // minimum claiming label via CAS, and min is commutative; all metered
-// counts are per-item sums, so the Work ledger is byte-identical to
-// MergeCanonical's no matter how the shards interleave. The only
-// genuinely sequential step — sorting the merged components by their
-// canonical core index — is metered into SerialWork so the pricing
-// model charges it at full cost.
-func mergeParallel(partials []PartialCluster, n int, opts MergeOptions) *GlobalResult {
-	workers := opts.effectiveWorkers()
-	res := &GlobalResult{
-		Labels:             make([]int32, n),
-		NumPartialClusters: len(partials),
-	}
+// counts are per-item sums, so labels, NumMerges and the Work ledger
+// are byte-identical at every worker count and in every partial order.
+// The only genuinely sequential step — sorting the merged components by
+// their canonical core index — is metered into SerialWork so the
+// pricing model charges it at full cost.
+func mergeCanonical(partials []PartialCluster, workers int, res *GlobalResult) {
+	workers = max(workers, 1)
+	n, m := len(res.Labels), len(partials)
 	w := &res.Work
-
-	// Accumulator reception: the per-cluster deserialization constant
-	// (see Merge). Each shard rebuilds its own clusters' object graphs,
-	// so the receive parallelizes with the rest.
-	w.MergeOps += int64(len(partials)) * perClusterReceiveOps
-
-	if opts.MinPartialClusterSize > 1 {
-		kept := partials[:0:0]
-		for _, pc := range partials {
-			if pc.Size() >= opts.MinPartialClusterSize {
-				kept = append(kept, pc)
-			} else {
-				res.DroppedPartials++
-			}
-		}
-		partials = kept
-	}
-	m := len(partials)
 
 	parallelDo(workers, n, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -62,7 +45,7 @@ func mergeParallel(partials []PartialCluster, n int, opts MergeOptions) *GlobalR
 	})
 	if m == 0 {
 		res.NumNoise = n
-		return res
+		return
 	}
 
 	// ops collects the metered MergeOps of the sharded passes; each
@@ -231,7 +214,6 @@ func mergeParallel(partials []PartialCluster, n int, opts MergeOptions) *GlobalR
 	w.MergeOps += int64(n)
 
 	w.MergeOps += ops.Load()
-	return res
 }
 
 // parallelDo splits [0, n) into up to `workers` contiguous shards and

@@ -13,7 +13,7 @@ import (
 
 // exactPartials runs the SeedExact local clustering over each split of
 // a range partitioner and concatenates the partial clusters — the exact
-// input contract MergeCanonical/MergeParallel consume.
+// input contract the canonical merge consumes.
 func exactPartials(t *testing.T, parts int, local func(s int) (*LocalResult, error)) []PartialCluster {
 	t.Helper()
 	var partials []PartialCluster
@@ -27,15 +27,17 @@ func exactPartials(t *testing.T, parts int, local func(s int) (*LocalResult, err
 	return partials
 }
 
-// TestMergeParallelMatchesCanonicalProperty is the tentpole property
-// test: across datasets × partition counts × 1/2/4/8 workers (± the
-// size filter), MergeParallel's labels, NumMerges, cluster/noise counts
-// and the full metered Work ledger are byte-identical to the sequential
-// MergeCanonical — the worker count may only move derived time.
+// TestMergeParallelMatchesCanonicalProperty is the worker-count
+// property test: across datasets × partition counts × 2/4/8 workers (±
+// the size filter), the canonical merge's labels, NumMerges,
+// cluster/noise counts and the full metered Work ledger are
+// byte-identical to one worker — the worker count may only move derived
+// time — and without the filter the labels are sequential DBSCAN's.
 func TestMergeParallelMatchesCanonicalProperty(t *testing.T) {
+	model := simtime.DefaultModel()
 	for _, dsName := range []string{"c10k", "r10k"} {
 		ds := testDataset(t, dsName, 2500)
-		_, tree := sequential(t, ds)
+		ref, tree := sequential(t, ds)
 		for _, parts := range []int{1, 3, 8, 16} {
 			part, err := NewPartitioner(ds.Len(), parts)
 			if err != nil {
@@ -45,31 +47,35 @@ func TestMergeParallelMatchesCanonicalProperty(t *testing.T) {
 				return LocalDBSCAN(ds, tree, part, s, LocalOptions{Params: tableParams, SeedMode: SeedExact})
 			})
 			for _, minSize := range []int{0, 3} {
-				seq := Merge(partials, ds.Len(), MergeOptions{Algo: MergeCanonical, MinPartialClusterSize: minSize})
-				if seq.SerialWork != seq.Work {
-					t.Fatalf("%s parts=%d: sequential SerialWork != Work", dsName, parts)
+				one := Merge(partials, ds.Len(), MergeOptions{MinPartialClusterSize: minSize, Workers: 1})
+				if minSize == 0 && !bytes.Equal(int32Bytes(ref.Labels), int32Bytes(one.Labels)) {
+					t.Fatalf("%s parts=%d: labels differ from sequential DBSCAN", dsName, parts)
+				}
+				// One worker prices the whole ledger, to the last bit.
+				if got, want := model.ParallelSeconds(one.Work, one.SerialWork, 1), model.Seconds(one.Work); got != want {
+					t.Fatalf("%s parts=%d: one-worker price %v != Seconds(Work) %v", dsName, parts, got, want)
 				}
 				for _, workers := range []int{1, 2, 4, 8} {
 					par := Merge(partials, ds.Len(), MergeOptions{
-						Algo: MergeParallel, MinPartialClusterSize: minSize, Workers: workers,
+						MinPartialClusterSize: minSize, Workers: workers,
 					})
-					if !bytes.Equal(int32Bytes(seq.Labels), int32Bytes(par.Labels)) {
-						t.Fatalf("%s parts=%d min=%d workers=%d: labels differ from canonical",
+					if !bytes.Equal(int32Bytes(one.Labels), int32Bytes(par.Labels)) {
+						t.Fatalf("%s parts=%d min=%d workers=%d: labels differ from one worker",
 							dsName, parts, minSize, workers)
 					}
-					if par.NumMerges != seq.NumMerges ||
-						par.NumClusters != seq.NumClusters ||
-						par.NumNoise != seq.NumNoise ||
-						par.NumPartialClusters != seq.NumPartialClusters ||
-						par.DroppedPartials != seq.DroppedPartials {
-						t.Fatalf("%s parts=%d min=%d workers=%d: counts differ:\nseq %+v\npar %+v",
-							dsName, parts, minSize, workers, seq, par)
+					if par.NumMerges != one.NumMerges ||
+						par.NumClusters != one.NumClusters ||
+						par.NumNoise != one.NumNoise ||
+						par.NumPartialClusters != one.NumPartialClusters ||
+						par.DroppedPartials != one.DroppedPartials {
+						t.Fatalf("%s parts=%d min=%d workers=%d: counts differ:\none %+v\npar %+v",
+							dsName, parts, minSize, workers, one, par)
 					}
-					if par.Work != seq.Work {
-						t.Fatalf("%s parts=%d min=%d workers=%d: Work differs:\nseq %+v\npar %+v",
-							dsName, parts, minSize, workers, seq.Work, par.Work)
+					if par.Work != one.Work {
+						t.Fatalf("%s parts=%d min=%d workers=%d: Work differs:\none %+v\npar %+v",
+							dsName, parts, minSize, workers, one.Work, par.Work)
 					}
-					if want := (simtime.Work{SortComps: seq.Work.SortComps}); par.SerialWork != want {
+					if want := (simtime.Work{SortComps: one.Work.SortComps}); par.SerialWork != want {
 						t.Fatalf("%s parts=%d min=%d workers=%d: SerialWork = %+v, want sort residue %+v",
 							dsName, parts, minSize, workers, par.SerialWork, want)
 					}
@@ -89,13 +95,14 @@ func int32Bytes(xs []int32) []byte {
 
 // TestMergeParallelEdgeCases: inputs the property test's generated
 // partials can't produce — no partials at all, seeds dangling into
-// noise, memberless partials — behave exactly like MergeCanonical.
+// noise, memberless partials — behave at every worker count exactly as
+// at the default single worker.
 func TestMergeParallelEdgeCases(t *testing.T) {
 	check := func(name string, partials []PartialCluster, n int) {
 		t.Helper()
-		seq := Merge(partials, n, MergeOptions{Algo: MergeCanonical})
+		seq := Merge(partials, n, MergeOptions{})
 		for _, workers := range []int{1, 3, 8} {
-			par := Merge(partials, n, MergeOptions{Algo: MergeParallel, Workers: workers})
+			par := Merge(partials, n, MergeOptions{Workers: workers})
 			if !bytes.Equal(int32Bytes(seq.Labels), int32Bytes(par.Labels)) {
 				t.Fatalf("%s workers=%d: labels differ", name, workers)
 			}
@@ -123,10 +130,10 @@ func TestMergeParallelEdgeCases(t *testing.T) {
 }
 
 // TestMergeParallelFaultRecoveryByteIdentical: the journal-replay
-// recovery path reuses the parallel merge, and under seeded compute +
+// recovery path reuses the sharded merge, and under seeded compute +
 // storage fault schedules with a driver crash mid-merge, labels stay
-// byte-identical to the clean sequential-canonical run — across worker
-// counts and in both partitioning modes.
+// byte-identical to the clean one-worker run — across worker counts and
+// in both partitioning modes.
 func TestMergeParallelFaultRecoveryByteIdentical(t *testing.T) {
 	ds := testDataset(t, "c10k", 1500)
 	for _, mode := range []PartitionMode{PartRange, PartCell} {
@@ -137,7 +144,7 @@ func TestMergeParallelFaultRecoveryByteIdentical(t *testing.T) {
 				})
 				res, err := Run(sctx, ds, Config{
 					Params: tableParams, Partitions: 8, Storage: storage,
-					Merge: merge, SeedMode: SeedExact,
+					Merge:        merge,
 					Partitioning: mode, Cell: CellOptions{TargetPointsPerCell: 250},
 				})
 				if err != nil {
@@ -145,7 +152,7 @@ func TestMergeParallelFaultRecoveryByteIdentical(t *testing.T) {
 				}
 				return res
 			}
-			clean := run(nil, nil, MergeOptions{Algo: MergeCanonical})
+			clean := run(nil, nil, MergeOptions{})
 			for i, seed := range faultSeeds(t) {
 				workers := []int{2, 8}[i%2]
 				fs := hdfs.NewCluster(1<<14, 3, 6)
@@ -160,7 +167,7 @@ func TestMergeParallelFaultRecoveryByteIdentical(t *testing.T) {
 					ExecutorCrashRate: 0.5, MaxExecutorFailures: 6,
 				}, &StorageOptions{
 					FS: fs, InputFile: "input", SimulateDriverCrash: true,
-				}, MergeOptions{Algo: MergeParallel, Workers: workers})
+				}, MergeOptions{Workers: workers})
 				if !bytes.Equal(int32Bytes(clean.Global.Labels), int32Bytes(res.Global.Labels)) {
 					t.Fatalf("seed %d workers %d: recovered parallel merge changed labels", seed, workers)
 				}
@@ -179,26 +186,32 @@ func TestMergeParallelFaultRecoveryByteIdentical(t *testing.T) {
 // TestMergeParallelWorkersMovePhaseTimeOnly: on a full clean run, the
 // worker count changes the merge phase's simulated duration (more cores
 // → shorter) while the driver Work ledger and labels stay identical;
-// and the parallel merge at 8 workers beats the sequential canonical
-// merge by at least 2x on the phase clock.
+// the default (0 workers) is priced exactly as one worker; and 8
+// workers beat one by at least 2x on the phase clock.
 func TestMergeParallelWorkersMovePhaseTimeOnly(t *testing.T) {
 	ds := testDataset(t, "c10k", 2500)
 	run := func(merge MergeOptions) (*Result, spark.Report) {
 		sctx := spark.NewContext(spark.Config{Cores: 16, CoresPerExecutor: 4, Seed: 42})
 		res, err := Run(sctx, ds, Config{
-			Params: tableParams, Partitions: 16, SeedMode: SeedExact, Merge: merge,
+			Params: tableParams, Partitions: 16, Merge: merge,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res, sctx.Report()
 	}
-	seqRes, seqRep := run(MergeOptions{Algo: MergeCanonical})
-	par1, rep1 := run(MergeOptions{Algo: MergeParallel, Workers: 1})
-	par8, rep8 := run(MergeOptions{Algo: MergeParallel, Workers: 8})
+	seqRes, seqRep := run(MergeOptions{})
+	par1, rep1 := run(MergeOptions{Workers: 1})
+	par8, rep8 := run(MergeOptions{Workers: 8})
 
 	if !bytes.Equal(int32Bytes(seqRes.Global.Labels), int32Bytes(par8.Global.Labels)) {
-		t.Fatal("labels differ between canonical and parallel runs")
+		t.Fatal("labels differ between 1 and 8 merge workers")
+	}
+	if seqRes.Merge.Workers != 1 || par8.Merge.Workers != 8 {
+		t.Fatalf("resolved merge workers %d/%d, want 1/8", seqRes.Merge.Workers, par8.Merge.Workers)
+	}
+	if seqRes.Phases.Merge != par1.Phases.Merge {
+		t.Fatalf("default merge %v s != one worker %v s", seqRes.Phases.Merge, par1.Phases.Merge)
 	}
 	if rep1.DriverWork != rep8.DriverWork || seqRep.DriverWork != rep8.DriverWork {
 		t.Fatalf("DriverWork depends on merge workers:\nseq  %+v\npar1 %+v\npar8 %+v",
@@ -224,12 +237,11 @@ func TestMergeParallelWorkersMovePhaseTimeOnly(t *testing.T) {
 	}
 }
 
-// TestParallelMergeTracingDeterministic: with the parallel merge (and a
-// driver crash recovering through it) under a traced faulty run, the
-// critical path still tiles Phases.Total() exactly, exports stay
-// byte-identical across runs — real merge goroutines underneath — and
-// the merge phase's share of the path drops versus the sequential
-// canonical merge.
+// TestParallelMergeTracingDeterministic: with the merge on 8 workers
+// (and a driver crash recovering through it) under a traced faulty
+// run, the critical path still tiles Phases.Total() exactly, exports
+// stay byte-identical across runs — real merge goroutines underneath —
+// and the merge phase's share of the path drops versus one worker.
 func TestParallelMergeTracingDeterministic(t *testing.T) {
 	ds := testDataset(t, "c10k", 2500)
 	export := func(merge MergeOptions) (*Result, []byte, []trace.Segment) {
@@ -250,7 +262,7 @@ func TestParallelMergeTracingDeterministic(t *testing.T) {
 			Tracer: tr,
 		})
 		res, err := Run(sctx, ds, Config{
-			Params: tableParams, Partitions: 8, SeedMode: SeedExact, Merge: merge,
+			Params: tableParams, Partitions: 8, Merge: merge,
 			Storage: &StorageOptions{FS: fs, InputFile: "input", SimulateDriverCrash: true},
 		})
 		if err != nil {
@@ -263,7 +275,7 @@ func TestParallelMergeTracingDeterministic(t *testing.T) {
 		return res, j, tr.CriticalPath()
 	}
 
-	par := MergeOptions{Algo: MergeParallel, Workers: 8}
+	par := MergeOptions{Workers: 8}
 	res, j1, segs := export(par)
 	cur, sum := 0.0, 0.0
 	for i, s := range segs {
@@ -281,7 +293,7 @@ func TestParallelMergeTracingDeterministic(t *testing.T) {
 		t.Fatal("trace JSON differs across identical parallel-merge runs")
 	}
 
-	_, _, seqSegs := export(MergeOptions{Algo: MergeCanonical})
+	_, _, seqSegs := export(MergeOptions{})
 	if parShare, seqShare := trace.ShareByName(segs, "merge"), trace.ShareByName(seqSegs, "merge"); parShare >= seqShare {
 		t.Fatalf("merge share did not drop: parallel %.3f vs sequential %.3f", parShare, seqShare)
 	}

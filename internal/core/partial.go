@@ -10,19 +10,8 @@ const (
 	// SeedSingle is the paper's rule: at most one SEED per foreign
 	// partition per partial cluster (the place_flg logic of Algorithm
 	// 3). Cheapest, but it can drop merge edges and lose unclaimed
-	// border points — see DESIGN.md §3.
+	// border points — see DESIGN.md §3. MergePaper consumes it.
 	SeedSingle SeedMode = iota
-	// SeedAll records every distinct foreign point reached by the
-	// expansion as a SEED. Merging through union-find is then complete
-	// for core connectivity, and unclaimed foreign borders stay in the
-	// cluster.
-	SeedAll
-	// SeedCore records every distinct foreign *core* point as a SEED
-	// (one extra neighbourhood count query per candidate, metered) and
-	// keeps foreign non-core points as passive Borders that never
-	// trigger a merge. This makes parallel core co-clustering exactly
-	// equal to sequential DBSCAN.
-	SeedCore
 	// SeedExact produces partial clusters whose canonical merge
 	// (MergeCanonical) is byte-identical to sequential DBSCAN,
 	// independent of partition shape or accumulator commit order:
@@ -33,8 +22,8 @@ const (
 	// goes to Seeds (its coreness is resolved at the driver: a seed that
 	// is a member somewhere is core, one that is a member nowhere is a
 	// border). No extra queries, no per-partition seed placement charge
-	// — this is the cell-partitioning local contract, also usable with
-	// index ranges.
+	// — this is the cell-partitioning local contract, and the one
+	// MergeCanonical consumes under index ranges too.
 	SeedExact
 )
 
@@ -42,10 +31,6 @@ func (m SeedMode) String() string {
 	switch m {
 	case SeedSingle:
 		return "single"
-	case SeedAll:
-		return "all"
-	case SeedCore:
-		return "core"
 	case SeedExact:
 		return "exact"
 	default:
@@ -67,8 +52,9 @@ type PartialCluster struct {
 	// paper they are also elements of the final merged cluster
 	// (Figure 4b keeps 3000 in the merged C[0]).
 	Seeds []int32
-	// Borders are foreign non-core points recorded under SeedCore
-	// mode: cluster elements that must not drive a merge.
+	// Borders are non-core points recorded under SeedExact: cluster
+	// elements that must not drive a merge, awarded at the driver to
+	// the lowest claiming cluster.
 	Borders []int32
 }
 

@@ -19,10 +19,9 @@ type Config struct {
 	// paper sets partitions = cores. Default: the context's core
 	// count.
 	Partitions int
-	// SeedMode selects the Algorithm 3 variant. Default SeedSingle
-	// (the paper's rule).
-	SeedMode SeedMode
-	// Merge configures the driver-side merge.
+	// Merge configures the driver-side merge. The merge also fixes the
+	// Algorithm 3 seed rule the executors run: SeedSingle for
+	// MergePaper, SeedExact for MergeCanonical (the default).
 	Merge MergeOptions
 	// MaxNeighbors > 0 enables the pruned range search the paper uses
 	// for the 1m-point datasets.
@@ -38,9 +37,9 @@ type Config struct {
 	// Partitioning selects how points reach executors: PartRange (the
 	// paper's index ranges over a full-dataset broadcast, the default)
 	// or PartCell (grid cells with eps-halo replication over a
-	// shuffle). Cell mode forces SeedExact and MergeCanonical so its
-	// labels are pinned byte-identical to range mode and sequential
-	// DBSCAN; see DESIGN.md §13.
+	// shuffle). Cell mode needs MergeCanonical (Run rejects it with
+	// MergePaper); its labels are pinned byte-identical to range mode
+	// and sequential DBSCAN, see DESIGN.md §13.
 	Partitioning PartitionMode
 	// Cell tunes PartCell; ignored under PartRange.
 	Cell CellOptions
@@ -98,6 +97,9 @@ type Result struct {
 	// (partitioning mode, broadcast vs shuffle volume, halo
 	// replication).
 	Dist DistStats
+	// Merge is the merge configuration the run used, with Workers
+	// resolved (0 → 1).
+	Merge MergeOptions
 }
 
 // broadcastPayload is what the driver ships to every executor: the
@@ -117,6 +119,15 @@ func Run(sctx *spark.Context, ds *geom.Dataset, cfg Config) (*Result, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
 	}
+	if cfg.Merge.Algo == MergePaper {
+		if cfg.Partitioning == PartCell {
+			return nil, fmt.Errorf("core: cell partitioning needs the canonical merge, not %s", MergePaper)
+		}
+		if cfg.Merge.Workers > 1 {
+			return nil, fmt.Errorf("core: %s merge is sequential; got %d workers", MergePaper, cfg.Merge.Workers)
+		}
+	}
+	cfg.Merge.Workers = max(cfg.Merge.Workers, 1)
 	n := ds.Len()
 	if cfg.Partitions <= 0 {
 		cfg.Partitions = sctx.Config().Cores
@@ -140,7 +151,7 @@ func Run(sctx *spark.Context, ds *geom.Dataset, cfg Config) (*Result, error) {
 		tr.WatchFS(st.FS)
 	}
 
-	res := &Result{}
+	res := &Result{Merge: cfg.Merge}
 	driverBefore := func() float64 { return sctx.Report().DriverSeconds }
 
 	// Phase 1: Δ — read the input from the (simulated) distributed
@@ -181,26 +192,9 @@ func Run(sctx *spark.Context, ds *geom.Dataset, cfg Config) (*Result, error) {
 	// the accumulator.
 	opts := LocalOptions{
 		Params:         cfg.Params,
-		SeedMode:       cfg.SeedMode,
+		SeedMode:       cfg.Merge.Algo.seedMode(),
 		MaxNeighbors:   cfg.MaxNeighbors,
 		MinClusterSize: cfg.MinLocalClusterSize,
-	}
-	if cfg.Partitioning == PartCell {
-		// Cell mode pins the exact-seed / canonical-merge pair: labels
-		// become a pure function of the point set and parameters,
-		// independent of grid shape and accumulator commit order.
-		// MergeParallel is canonical labeling too (byte-identical by
-		// construction), so it satisfies the pin and is left in place.
-		opts.SeedMode = SeedExact
-		if cfg.Merge.Algo != MergeParallel {
-			cfg.Merge.Algo = MergeCanonical
-		}
-	}
-	if cfg.Merge.Algo == MergeCanonical || cfg.Merge.Algo == MergeParallel {
-		// Canonical labeling assumes the SeedExact partial-cluster
-		// contract (Members hold only owned cores, Members[0] lowest);
-		// any other seed mode would feed it garbage.
-		opts.SeedMode = SeedExact
 	}
 
 	acc := spark.SliceAccumulator[PartialCluster](sctx)
@@ -257,17 +251,16 @@ func Run(sctx *spark.Context, ds *geom.Dataset, cfg Config) (*Result, error) {
 		res.Recovery.JournalBytes = jr.bytes
 	}
 
-	// Phase 5: driver merge (Algorithm 4 / union-find / parallel
-	// canonical). MergeParallel runs on real goroutines and is priced
-	// under that many driver cores; the sequential algorithms meter
-	// everything as serial residue, which makes RunInDriverPar collapse
-	// to the old RunInDriver pricing exactly. With a simulated driver
-	// crash, the first merge attempt dies at CrashPointFrac of its span,
-	// a fresh driver replays the journal, and the merge runs on the
-	// replayed partial clusters — which are the accumulator's slice byte
-	// for byte, so labels are identical. Recovery reuses the same
-	// (possibly parallel) merge path.
-	mergeWorkers := cfg.Merge.effectiveWorkers()
+	// Phase 5: driver merge (Algorithm 4 or canonical). The canonical
+	// merge runs on cfg.Merge.Workers real goroutines and is priced
+	// under that many driver cores; at one worker, or with MergePaper's
+	// all-serial ledger, RunInDriverPar prices exactly like RunInDriver.
+	// With a simulated driver crash, the first merge attempt dies at
+	// CrashPointFrac of its span, a fresh driver replays the journal,
+	// and the merge runs on the replayed partial clusters — which are
+	// the accumulator's slice byte for byte, so labels are identical.
+	// Recovery reuses the same merge path.
+	mergeWorkers := cfg.Merge.Workers
 	d0 = driverBefore()
 	if st != nil && st.SimulateDriverCrash {
 		err = sctx.RunInDriverPar("merge (recovered)", mergeWorkers, func(w, serial *simtime.Work) error {

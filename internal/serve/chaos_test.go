@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -442,6 +443,58 @@ func TestHedgeBudgetBounds(t *testing.T) {
 	}
 	if st.HedgeDenied == 0 {
 		t.Error("budget never denied a hedge despite every batch being slow")
+	}
+}
+
+// TestQueueDelayHoldsWhileBacklogged: the queue-delay EWMA learns only
+// at dequeue, so while a held worker leaves a query waiting unsampled
+// the supervisor's decay must not read the overload as recovery; once
+// the backlog drains, decay resumes.
+func TestQueueDelayHoldsWhileBacklogged(t *testing.T) {
+	mA, _ := stressModels(t)
+	gate := gatedSnapshot{Snapshot: mA, release: make(chan struct{})}
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(gate.release) }) }
+	srv := NewServer(gate, Options{
+		Workers: 1, BatchCap: 1, MaxQueueDelay: -1,
+		StallTimeout: -1, SupervisorInterval: time.Hour, // drive the decay by hand
+	})
+	defer srv.Close()
+	defer release()
+	q := mA.ds.At(0)
+	var wg sync.WaitGroup
+	assign := func() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := srv.Assign(context.Background(), q); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	// One query is held by the worker, the next waits in the shard.
+	assign()
+	for srv.workers[0].busy.Load() == 0 {
+		runtime.Gosched()
+	}
+	assign()
+	for len(srv.shards[0]) == 0 {
+		runtime.Gosched()
+	}
+	for i := 0; i < 50; i++ {
+		srv.observeQueueDelay(20 * time.Millisecond)
+	}
+	backlogged := srv.queueDelayEWMA()
+	srv.decayQueueDelay()
+	if got := srv.queueDelayEWMA(); got != backlogged {
+		t.Fatalf("EWMA decayed %v -> %v with a query still queued", backlogged, got)
+	}
+	release()
+	wg.Wait()
+	drained := srv.queueDelayEWMA()
+	srv.decayQueueDelay()
+	if got := srv.queueDelayEWMA(); got >= drained {
+		t.Fatalf("EWMA %v did not decay after the backlog drained (was %v)", got, drained)
 	}
 }
 

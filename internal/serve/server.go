@@ -409,21 +409,24 @@ func (s *Server) tryEnqueue(req *request, avoid int) (ok, closed bool) {
 // CAS on done makes the first resolver win and everything later a
 // no-op, which is what lets a query be answered by its primary, its
 // hedge, a worker's panic recovery, or shutdown — whichever gets there
-// first — exactly once.
-func (s *Server) deliver(r *request, res result) bool {
+// first — exactly once. The winner bumps counter (when non-nil)
+// before the reply is sent, so a caller holding its answer always finds
+// it counted in Stats.
+func (s *Server) deliver(r *request, res result, counter *atomic.Uint64) bool {
 	if !r.done.CompareAndSwap(false, true) {
 		return false
 	}
 	s.resolved.Add(1)
+	if counter != nil {
+		counter.Add(1)
+	}
 	r.resp <- res
 	return true
 }
 
 // deliverErr resolves a request with an error, bumping counter on win.
 func (s *Server) deliverErr(r *request, err error, counter *atomic.Uint64) {
-	if s.deliver(r, result{a: Assignment{Cluster: Noise}, err: err}) {
-		counter.Add(1)
-	}
+	s.deliver(r, result{a: Assignment{Cluster: Noise}, err: err}, counter)
 }
 
 // workerBufs are one worker goroutine's scratch buffers.
@@ -518,9 +521,7 @@ func (s *Server) processBatch(w *workerState, first *request, bufs *workerBufs) 
 	for _, r := range batch {
 		switch {
 		case r.ctx.Err() != nil:
-			if s.deliver(r, result{a: Assignment{Cluster: Noise}, err: r.ctx.Err()}) {
-				s.stats.canceled.Add(1)
-			}
+			s.deliver(r, result{a: Assignment{Cluster: Noise}, err: r.ctx.Err()}, &s.stats.canceled)
 		case !r.deadline.IsZero() && now.After(r.deadline):
 			s.deliverErr(r, ErrShedDeadline, &s.stats.shedDeadline)
 		default:
@@ -634,8 +635,7 @@ func (s *Server) finish(w *workerState, r *request, a Assignment, gen uint64) {
 		s.stats.dropped.Add(1)
 		return
 	}
-	if s.deliver(r, result{a: a}) {
-		s.stats.completed.Add(1)
+	if s.deliver(r, result{a: a}, &s.stats.completed) {
 		s.stats.lat.observe(time.Since(r.enq))
 		if r.hedge {
 			s.stats.hedgeWins.Add(1)
@@ -741,7 +741,7 @@ func (s *Server) shutdown() int {
 		for {
 			select {
 			case r := <-ch:
-				if s.deliver(r, result{a: Assignment{Cluster: Noise}, err: ErrClosed}) {
+				if s.deliver(r, result{a: Assignment{Cluster: Noise}, err: ErrClosed}, nil) {
 					failed++
 				}
 				continue

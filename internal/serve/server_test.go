@@ -122,14 +122,40 @@ func TestServerStressHotSwap(t *testing.T) {
 	}
 }
 
+// gatedSnapshot holds every query until release is closed, so a test
+// can keep the workers busy and the admission queue provably full.
+type gatedSnapshot struct {
+	Snapshot
+	release chan struct{}
+}
+
+func (g gatedSnapshot) AssignBatch(qs []float64, out []Assignment) {
+	<-g.release
+	g.Snapshot.AssignBatch(qs, out)
+}
+
+func (g gatedSnapshot) AssignOne(q []float64, nbrs []int32) (Assignment, []int32) {
+	<-g.release
+	return g.Snapshot.AssignOne(q, nbrs)
+}
+
 // TestServerShedsWhenQueueFull pins the backpressure path: with a
 // one-slot queue per shard and a burst far larger than QueueCap, some
 // queries must be rejected at admission with ErrOverloaded while the
 // accepted ones are answered; nothing hangs and the books balance.
+// The snapshot holds both workers until the first rejection, so at most
+// Workers+QueueCap queries are admitted before it and the queue is full
+// whatever the scheduling.
 func TestServerShedsWhenQueueFull(t *testing.T) {
 	mA, _ := stressModels(t)
-	srv := NewServer(mA, Options{Workers: 2, BatchCap: 1, QueueCap: 2, MaxQueueDelay: -1})
+	gate := gatedSnapshot{Snapshot: mA, release: make(chan struct{})}
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(gate.release) }) }
+	// Supervision off: a held worker must not be deposed and replaced,
+	// which would admit more queries.
+	srv := NewServer(gate, Options{Workers: 2, BatchCap: 1, QueueCap: 2, MaxQueueDelay: -1, StallTimeout: -1})
 	defer srv.Close()
+	defer release()
 	w := DatasetWorkload(mA.ds)
 	const burst = 512
 	var wg sync.WaitGroup
@@ -144,6 +170,7 @@ func TestServerShedsWhenQueueFull(t *testing.T) {
 				ok.Add(1)
 			case errors.Is(err, ErrOverloaded):
 				shed.Add(1)
+				release()
 			default:
 				t.Errorf("unexpected error: %v", err)
 			}

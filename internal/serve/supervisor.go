@@ -130,9 +130,17 @@ func (s *Server) observeQueueDelay(d time.Duration) {
 	}
 }
 
-// decayQueueDelay pulls the EWMA toward zero each supervisor tick, so
-// health recovers even when no traffic arrives to update it.
+// decayQueueDelay pulls the EWMA toward zero on each supervisor tick
+// that finds every shard empty, so health recovers even when no traffic
+// arrives to update it. The EWMA only learns at dequeue: while busy
+// workers let a backlog wait unsampled, decaying would read the
+// overload as recovery.
 func (s *Server) decayQueueDelay() {
+	for _, ch := range s.shards {
+		if len(ch) > 0 {
+			return
+		}
+	}
 	for {
 		old := s.qdelay.Load()
 		v := math.Float64frombits(old)

@@ -245,18 +245,16 @@ func (m *CostModel) Seconds(w Work) float64 {
 //
 //	Seconds(serial) + (Seconds(total) − Seconds(serial)) / workers
 //
-// With workers == 1, or serial == total, this is exactly Seconds(total),
-// which is what keeps the sequential phases' pinned timings
-// float-identical. serial must be a sub-ledger of total; it is clamped
-// to total defensively.
+// With workers <= 1, or serial == total, this returns Seconds(total)
+// exactly — not the formula, because s + (t−s) rounds away from t for
+// some float pairs — which is what keeps the sequential phases' pinned
+// timings float-identical. serial must be a sub-ledger of total; it is
+// clamped to total defensively.
 func (m *CostModel) ParallelSeconds(total, serial Work, workers int) float64 {
-	if workers < 1 {
-		workers = 1
-	}
 	t := m.Seconds(total)
 	s := m.Seconds(serial)
-	if s > t {
-		s = t
+	if workers <= 1 || s >= t {
+		return t
 	}
 	return s + (t-s)/float64(workers)
 }

@@ -175,6 +175,35 @@ func TestParallelSeconds(t *testing.T) {
 	}
 }
 
+// TestParallelSecondsOneWorkerExact: at one worker (or an all-serial
+// ledger) the price is Seconds(total) to the last bit. The ledgers are
+// ones where the formula's s + (t−s) rounds one ulp away from t.
+func TestParallelSecondsOneWorkerExact(t *testing.T) {
+	m := DefaultModel()
+	for _, tc := range []struct {
+		name          string
+		total, serial Work
+		workers       int
+	}{
+		{"sort+read residue, 1 worker",
+			Work{Elems: 367543, MergeOps: 1639542, SortComps: 435984, HDFSBytes: 12800975},
+			Work{SortComps: 435984, HDFSBytes: 12800975}, 1},
+		{"sort+read residue, 0 workers",
+			Work{Elems: 87002, MergeOps: 4850596, SortComps: 440453, HDFSBytes: 8439994},
+			Work{SortComps: 440453, HDFSBytes: 8439994}, 0},
+		{"large ledger, 1 worker",
+			Work{Elems: 982208, MergeOps: 11885824, SortComps: 498509, HDFSBytes: 16521845},
+			Work{SortComps: 498509, HDFSBytes: 16521845}, 1},
+		{"all serial, 8 workers",
+			Work{Elems: 733416, MergeOps: 1378625, SortComps: 357391, HDFSBytes: 11188965},
+			Work{Elems: 733416, MergeOps: 1378625, SortComps: 357391, HDFSBytes: 11188965}, 8},
+	} {
+		if got, want := m.ParallelSeconds(tc.total, tc.serial, tc.workers), m.Seconds(tc.total); got != want {
+			t.Errorf("%s: ParallelSeconds = %v, want exactly Seconds(total) = %v", tc.name, got, want)
+		}
+	}
+}
+
 func TestDefaultedBackoffTable(t *testing.T) {
 	// The convention both fault layers share: zero means "use the
 	// default", negative means "no backoff", positive passes through.
