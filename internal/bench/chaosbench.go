@@ -119,10 +119,14 @@ func armFromLoad(name, fault string, rep serve.LoadReport, st serve.Stats) Chaos
 // RunChaosBench benchmarks the resilience layer under seeded fault
 // injection and, when jsonPath is non-empty, writes BENCH_chaos.json
 // there. It returns an error if any gated arm fails its gate. smoke
-// shrinks the dataset and arm durations to the CI configuration.
+// shrinks the dataset and arm durations to the CI configuration; seed
+// 0 selects the default chaos profile seed, 53.
 func RunChaosBench(w io.Writer, jsonPath string, points int, seed uint64, smoke bool) error {
 	if points <= 0 {
 		points = 20_000
+	}
+	if seed == 0 {
+		seed = 53
 	}
 	armDur := 400 * time.Millisecond
 	if smoke {
@@ -136,7 +140,7 @@ func RunChaosBench(w io.Writer, jsonPath string, points int, seed uint64, smoke 
 		minPts = 5
 		eps    = 22.0 // the serving regime -servebench measures in
 	)
-	ds := kdBenchDataset(points, dim)
+	ds := servingDataset(points, dim)
 	tree := kdtree.Build(ds)
 	p := dbscan.Params{Eps: eps, MinPts: minPts}
 	res, err := dbscan.Run(ds, tree, p)

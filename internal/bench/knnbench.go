@@ -54,13 +54,13 @@ type KNNBenchArm struct {
 
 // KNNBenchReport is the BENCH_knn.json payload.
 type KNNBenchReport struct {
-	Method  string `json:"method"`
-	Dataset string `json:"dataset"`
-	Points  int    `json:"points"`
-	Dim     int    `json:"dim"`
+	Method  string  `json:"method"`
+	Dataset string  `json:"dataset"`
+	Points  int     `json:"points"`
+	Dim     int     `json:"dim"`
 	Eps     float64 `json:"eps"`
 	MinPts  int     `json:"min_pts"`
-	Seed    uint64 `json:"seed"`
+	Seed    uint64  `json:"seed"`
 	// Reference exact DBSCAN (brute-force radius at d=128).
 	RefSeconds  float64 `json:"exact_dbscan_seconds"`
 	RefClusters int     `json:"exact_dbscan_clusters"`
@@ -80,13 +80,17 @@ type KNNBenchReport struct {
 // RunKNNBench runs the frontier and, when jsonPath is non-empty, writes
 // the report there. points sizes the mixture (0 = the full 20k; smoke
 // shrinks to 4k and waives the build-speed gate, which needs the full
-// n for the quadratic exact build to dominate).
+// n for the quadratic exact build to dominate). seed 0 selects the
+// default NN-descent seed, 1.
 func RunKNNBench(w io.Writer, jsonPath string, points int, seed uint64, smoke bool) error {
 	const defaultK = 16
 	ks := []int{8, defaultK, 32}
 
 	if points <= 0 {
 		points = 20_000
+	}
+	if seed == 0 {
+		seed = 1
 	}
 	if smoke && points > 4_000 {
 		points = 4_000

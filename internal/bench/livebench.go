@@ -12,6 +12,7 @@ import (
 	"sparkdbscan/internal/eval"
 	"sparkdbscan/internal/kdtree"
 	"sparkdbscan/internal/live"
+	"sparkdbscan/internal/rng"
 	"sparkdbscan/internal/serve"
 )
 
@@ -97,10 +98,13 @@ const (
 // RunLiveBench benchmarks the live-update layer and, when jsonPath is
 // non-empty, writes BENCH_live.json. A gate violation returns an
 // error after the report is written, so CI fails while the numbers
-// remain inspectable.
+// remain inspectable. seed 0 selects the default mutation stream, 5.
 func RunLiveBench(w io.Writer, jsonPath string, points int, seed uint64, smoke bool) error {
 	if points <= 0 {
 		points = 20_000
+	}
+	if seed == 0 {
+		seed = 5
 	}
 	armDur := 600 * time.Millisecond
 	if smoke {
@@ -115,7 +119,7 @@ func RunLiveBench(w io.Writer, jsonPath string, points int, seed uint64, smoke b
 		eps    = 22.0 // the BENCH_serve regime; see servebench.go
 	)
 	p := dbscan.Params{Eps: eps, MinPts: minPts}
-	ds := kdBenchDataset(points, dim)
+	ds := servingDataset(points, dim)
 	tree := kdtree.Build(ds)
 	res, err := dbscan.Run(ds, tree, p)
 	if err != nil {
@@ -172,7 +176,7 @@ func RunLiveBench(w io.Writer, jsonPath string, points int, seed uint64, smoke b
 	tw := newTabWriter(w)
 	fmt.Fprintln(tw, "arm\twrite rate\tread qps\tavail\tp50 µs\tp99 µs\twrites\tupd/s")
 	for _, arm := range churnArms {
-		lm, err := live.NewModel(kdBenchDataset(points, dim), nil2labels(res.Labels), nil, p,
+		lm, err := live.NewModel(servingDataset(points, dim), nil2labels(res.Labels), nil, p,
 			live.Options{MaxOverlay: -1, MaxDrift: -1})
 		if err != nil {
 			return err
@@ -206,7 +210,7 @@ func RunLiveBench(w io.Writer, jsonPath string, points int, seed uint64, smoke b
 	// drift up to exactly the bound, measure staleness, then force the
 	// reconcile the threshold would have run.
 	const maxDrift = 0.10
-	rm, err := live.NewModel(kdBenchDataset(points, dim), nil2labels(res.Labels), nil, p,
+	rm, err := live.NewModel(servingDataset(points, dim), nil2labels(res.Labels), nil, p,
 		live.Options{MaxOverlay: -1, MaxDrift: -1})
 	if err != nil {
 		return err
@@ -289,43 +293,32 @@ func nil2labels(labels []int32) []int32 { return append([]int32(nil), labels...)
 // bench arms: 70% jittered inserts sampled from the workload, 30%
 // deletes of previously inserted ids.
 type mutator struct {
-	r      *mutRNG
+	state  uint64 // rng.SplitMix64 stream
 	wl     serve.Workload
 	ids    []int64
 	nextID int64
 	pt     []float64
 }
 
-// mutRNG is a tiny splitmix64 so the bench does not depend on
-// internal/rng's full API surface here.
-type mutRNG struct{ s uint64 }
-
-func (r *mutRNG) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-func (r *mutRNG) float64() float64 { return float64(r.next()>>11) / (1 << 53) }
-func (r *mutRNG) intn(n int) int   { return int(r.next() % uint64(n)) }
-
 func newMutator(seed uint64, wl serve.Workload) *mutator {
-	return &mutator{r: &mutRNG{s: seed}, wl: wl, nextID: 1 << 40, pt: make([]float64, wl.Dim)}
+	return &mutator{state: seed, wl: wl, nextID: 1 << 40, pt: make([]float64, wl.Dim)}
 }
+
+func (mu *mutator) float64() float64 { return float64(rng.SplitMix64(&mu.state)>>11) / (1 << 53) }
+func (mu *mutator) intn(n int) int   { return int(rng.SplitMix64(&mu.state) % uint64(n)) }
 
 // apply performs one mutation on m and reports whether it was a delete.
 func (mu *mutator) apply(m *live.Model, _ int) (bool, error) {
-	if len(mu.ids) > 0 && mu.r.float64() < 0.3 {
-		i := mu.r.intn(len(mu.ids))
+	if len(mu.ids) > 0 && mu.float64() < 0.3 {
+		i := mu.intn(len(mu.ids))
 		id := mu.ids[i]
 		mu.ids[i] = mu.ids[len(mu.ids)-1]
 		mu.ids = mu.ids[:len(mu.ids)-1]
 		return true, m.Delete(id)
 	}
-	q := mu.wl.At(mu.r.intn(mu.wl.N()))
+	q := mu.wl.At(mu.intn(mu.wl.N()))
 	for d := range mu.pt {
-		mu.pt[d] = q[d] + (mu.r.float64()*2-1)*2
+		mu.pt[d] = q[d] + (mu.float64()*2-1)*2
 	}
 	id := mu.nextID
 	mu.nextID++

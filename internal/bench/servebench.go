@@ -9,14 +9,16 @@ import (
 	"time"
 
 	"sparkdbscan/internal/dbscan"
+	"sparkdbscan/internal/geom"
 	"sparkdbscan/internal/kdtree"
+	"sparkdbscan/internal/rng"
 	"sparkdbscan/internal/serve"
 )
 
 // The serving benchmark measures the online layer on the host wall
-// clock (like -kdbench, unlike the simulated-time experiments): freeze
-// one clustering into a serve.Model, then drive a Server with the
-// closed- and open-loop generators.
+// clock (unlike the simulated-time experiments): freeze one clustering
+// into a serve.Model, then drive a Server with serve.RunLoad's closed
+// and open loops.
 //
 // The closed-loop grid answers the design question behind the worker
 // pool: how does throughput scale with workers, and what does adaptive
@@ -78,6 +80,32 @@ type ServeBenchReport struct {
 
 func usQ(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 
+// servingDataset is the wall-clock benches' corpus (serve, chaos,
+// live), the same shape as the kd-tree microbenchmarks: Table-I-shaped
+// clusters (n/1000 clusters of ~1000 points, σ=8) in a 1000-unit box.
+func servingDataset(n, dim int) *geom.Dataset {
+	clusters := n / 1000
+	if clusters < 1 {
+		clusters = 1
+	}
+	r := rng.New(uint64(n + dim))
+	ds := geom.NewDataset(n, dim)
+	centers := make([][]float64, clusters)
+	for c := range centers {
+		centers[c] = make([]float64, dim)
+		for j := range centers[c] {
+			centers[c][j] = r.Float64() * 1000
+		}
+	}
+	for i := 0; i < n; i++ {
+		c := centers[i%clusters]
+		for j := 0; j < dim; j++ {
+			ds.Coords[i*dim+j] = c[j] + r.NormFloat64()*8
+		}
+	}
+	return ds
+}
+
 // RunServeBench benchmarks the serving layer and, when jsonPath is
 // non-empty, writes the report there. smoke shrinks every knob so the
 // whole run fits in a couple of seconds (the CI configuration).
@@ -104,7 +132,7 @@ func RunServeBench(w io.Writer, jsonPath string, points int, smoke bool) error {
 		// neighbours and scan time dominates any batching effect).
 		eps = 22.0
 	)
-	ds := kdBenchDataset(points, dim)
+	ds := servingDataset(points, dim)
 	tree := kdtree.Build(ds)
 	p := dbscan.Params{Eps: eps, MinPts: minPts}
 	res, err := dbscan.Run(ds, tree, p)
@@ -150,7 +178,7 @@ func RunServeBench(w io.Writer, jsonPath string, points int, smoke bool) error {
 				QueueCap:      64 * workers,
 				MaxQueueDelay: -1, // capacity measurement: answer everything
 			})
-			rep := serve.ClosedLoop(srv, workload, clients, armDur)
+			rep := serve.RunLoad(srv, workload, serve.LoadOptions{Clients: clients, Duration: armDur})
 			st := srv.Stats()
 			srv.Close()
 			cell := ServeBenchCell{
@@ -201,7 +229,7 @@ func RunServeBench(w io.Writer, jsonPath string, points int, smoke bool) error {
 			MaxQueueDelay: 5 * time.Millisecond,
 		})
 		rate := arm.frac * bestBatched.QPS
-		rep := serve.OpenLoop(srv, workload, rate, armDur)
+		rep := serve.RunLoad(srv, workload, serve.LoadOptions{QPS: rate, Duration: armDur})
 		st := srv.Stats()
 		srv.Close()
 		cell := ServeOpenCell{

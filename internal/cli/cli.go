@@ -339,95 +339,66 @@ func RunBench(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("benchrunner", flag.ContinueOnError)
 	fs.SetOutput(stdout)
 	var (
-		exp     = fs.String("exp", "all", "experiment id, comma-separated list, or 'all'")
-		scale   = fs.Float64("scale", 1.0, "dataset scale factor in (0, 1]")
-		list    = fs.Bool("list", false, "list experiments and exit")
-		seed    = fs.Uint64("seed", 0, "straggler seed (0 = default)")
-		kdbench = fs.String("kdbench", "", "run the kd-tree engine wall-clock benchmark, write JSON to this path (e.g. BENCH_kdtree.json), and exit")
-		kdreps  = fs.Int("kdreps", 3, "repetitions per kd-tree benchmark cell")
+		exp    = fs.String("exp", "all", "experiment id, comma-separated list, or 'all'")
+		scale  = fs.Float64("scale", 1.0, "dataset scale factor in (0, 1]")
+		list   = fs.Bool("list", false, "list experiments and exit")
+		seed   = fs.Uint64("seed", 0, "seed, 0 = the mode's default: straggler seed for -exp, chaos-profile seed for -chaosbench (53), NN-descent sampling seed for -knnbench (1), mutation-stream seed for -livebench (5)")
+		points = fs.Int("points", 0, "dataset points for the bench mode, 0 = the mode's default: 4000 for -trace/-faultbench/-storagebench/-mergebench, 20000 for -servebench/-chaosbench/-partbench/-knnbench (d=128)/-livebench")
+		seeds  = fs.String("seeds", "11,23,47", "comma-separated fault-profile seeds for -faultbench/-storagebench")
+		smoke  = fs.Bool("smoke", false, "shrink -servebench/-chaosbench/-partbench/-mergebench/-knnbench/-livebench to a seconds-long CI smoke run")
 
-		faultbench  = fs.String("faultbench", "", "run the fault-injection benchmark, write JSON to this path (e.g. BENCH_faults.json), and exit")
-		faultseeds  = fs.String("faultseeds", "11,23,47", "comma-separated fault-profile seeds for -faultbench")
-		faultpoints = fs.Int("faultpoints", 4000, "dataset points for -faultbench")
-
-		storagebench  = fs.String("storagebench", "", "run the storage-fault benchmark, write JSON to this path (e.g. BENCH_storage.json), and exit")
-		storageseeds  = fs.String("storageseeds", "11,23,47", "comma-separated storage-profile seeds for -storagebench")
-		storagepoints = fs.Int("storagepoints", 4000, "dataset points for -storagebench")
-
-		traceOut    = fs.String("trace", "", "run one traced faulty job, write its Chrome/Perfetto trace to this path, and exit")
-		metricsOut  = fs.String("metrics", "", "with or instead of -trace: write the traced job's metrics snapshot to this path")
-		tracepoints = fs.Int("tracepoints", 4000, "dataset points for -trace/-metrics")
-
-		servebench  = fs.String("servebench", "", "run the online-serving benchmark, write JSON to this path (e.g. BENCH_serve.json), and exit")
-		servepoints = fs.Int("servepoints", 20000, "dataset points for -servebench")
-		smoke       = fs.Bool("smoke", false, "shrink -servebench/-partbench/-chaosbench to a seconds-long CI smoke run")
-
-		chaosbench  = fs.String("chaosbench", "", "run the serving resilience benchmark (chaos injection), write JSON to this path (e.g. BENCH_chaos.json), and exit non-zero if a resilience gate fails")
-		chaospoints = fs.Int("chaospoints", 20000, "dataset points for -chaosbench")
-		chaosseed   = fs.Uint64("chaosseed", 53, "chaos-profile seed for -chaosbench (same seed, same fault schedule)")
-
-		partbench  = fs.String("partbench", "", "run the range-vs-cell partitioning benchmark, write JSON to this path (e.g. BENCH_partition.json), and exit")
-		partpoints = fs.Int("partpoints", 20000, "measured base-run points for -partbench (projections scale from it)")
-
-		mergebench  = fs.String("mergebench", "", "run the sequential-vs-parallel driver-merge benchmark, write JSON to this path (e.g. BENCH_merge.json), and exit")
-		mergepoints = fs.Int("mergepoints", 4000, "dataset points for the -mergebench traced pipeline section")
-
-		knnbench  = fs.String("knnbench", "", "run the high-dimensional kNN-graph benchmark, write JSON to this path (e.g. BENCH_knn.json), and exit non-zero if an accuracy/speed gate fails")
-		knnpoints = fs.Int("knnpoints", 20000, "embedding points for -knnbench (d=128)")
-		knnseed   = fs.Uint64("knnseed", 1, "NN-descent sampling seed for -knnbench")
-
-		livebench  = fs.String("livebench", "", "run the live-update benchmark (mutation throughput, read tail under churn, staleness at reconcile), write JSON to this path (e.g. BENCH_live.json), and exit non-zero if a gate fails")
-		livepoints = fs.Int("livepoints", 20000, "dataset points for -livebench")
-		liveseed   = fs.Uint64("liveseed", 5, "mutation-stream seed for -livebench (same seed, same insert/delete sequence)")
+		traceOut     = fs.String("trace", "", "run one traced faulty job, write its Chrome/Perfetto trace to this path, and exit")
+		metricsOut   = fs.String("metrics", "", "with or instead of -trace: write the traced job's metrics snapshot to this path")
+		faultbench   = fs.String("faultbench", "", "run the fault-injection benchmark, write JSON to this path (e.g. BENCH_faults.json), and exit")
+		storagebench = fs.String("storagebench", "", "run the storage-fault benchmark, write JSON to this path (e.g. BENCH_storage.json), and exit")
+		servebench   = fs.String("servebench", "", "run the online-serving benchmark, write JSON to this path (e.g. BENCH_serve.json), and exit")
+		chaosbench   = fs.String("chaosbench", "", "run the serving resilience benchmark (chaos injection), write JSON to this path (e.g. BENCH_chaos.json), and exit non-zero if a resilience gate fails")
+		partbench    = fs.String("partbench", "", "run the range-vs-cell partitioning benchmark, write JSON to this path (e.g. BENCH_partition.json), and exit")
+		mergebench   = fs.String("mergebench", "", "run the driver-merge worker-count benchmark, write JSON to this path (e.g. BENCH_merge.json), and exit")
+		knnbench     = fs.String("knnbench", "", "run the high-dimensional kNN-graph benchmark, write JSON to this path (e.g. BENCH_knn.json), and exit non-zero if an accuracy/speed gate fails")
+		livebench    = fs.String("livebench", "", "run the live-update benchmark (mutation throughput, read tail under churn, staleness at reconcile), write JSON to this path (e.g. BENCH_live.json), and exit non-zero if a gate fails")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *traceOut != "" || *metricsOut != "" {
-		return bench.RunTraceBench(stdout, *traceOut, *metricsOut, *tracepoints)
-	}
-	if *servebench != "" {
-		return bench.RunServeBench(stdout, *servebench, *servepoints, *smoke)
-	}
-	if *chaosbench != "" {
-		return bench.RunChaosBench(stdout, *chaosbench, *chaospoints, *chaosseed, *smoke)
-	}
-	if *partbench != "" {
-		return bench.RunPartBench(stdout, *partbench, *partpoints, *smoke)
-	}
-	if *mergebench != "" {
-		return bench.RunMergeBench(stdout, *mergebench, *mergepoints, *smoke)
-	}
-	if *knnbench != "" {
-		return bench.RunKNNBench(stdout, *knnbench, *knnpoints, *knnseed, *smoke)
-	}
-	if *livebench != "" {
-		return bench.RunLiveBench(stdout, *livebench, *livepoints, *liveseed, *smoke)
-	}
-	if *kdbench != "" {
-		return bench.RunKDBench(stdout, *kdbench, *kdreps)
-	}
-	if *faultbench != "" {
-		var seeds []uint64
-		for _, s := range strings.Split(*faultseeds, ",") {
-			v, err := strconv.ParseUint(strings.TrimSpace(s), 10, 64)
-			if err != nil {
-				return fmt.Errorf("benchrunner: bad -faultseeds entry %q: %w", s, err)
-			}
-			seeds = append(seeds, v)
+	var profileSeeds []uint64
+	for _, s := range strings.Split(*seeds, ",") {
+		v, err := strconv.ParseUint(strings.TrimSpace(s), 10, 64)
+		if err != nil {
+			return fmt.Errorf("benchrunner: bad -seeds entry %q: %w", s, err)
 		}
-		return bench.RunFaultBench(stdout, *faultbench, seeds, *faultpoints)
+		profileSeeds = append(profileSeeds, v)
 	}
-	if *storagebench != "" {
-		var seeds []uint64
-		for _, s := range strings.Split(*storageseeds, ",") {
-			v, err := strconv.ParseUint(strings.TrimSpace(s), 10, 64)
-			if err != nil {
-				return fmt.Errorf("benchrunner: bad -storageseeds entry %q: %w", s, err)
-			}
-			seeds = append(seeds, v)
+	modes := []struct {
+		flag string
+		set  bool
+		run  func() error
+	}{
+		{"-trace/-metrics", *traceOut != "" || *metricsOut != "", func() error {
+			return bench.RunTraceBench(stdout, *traceOut, *metricsOut, *points)
+		}},
+		{"-servebench", *servebench != "", func() error { return bench.RunServeBench(stdout, *servebench, *points, *smoke) }},
+		{"-chaosbench", *chaosbench != "", func() error { return bench.RunChaosBench(stdout, *chaosbench, *points, *seed, *smoke) }},
+		{"-partbench", *partbench != "", func() error { return bench.RunPartBench(stdout, *partbench, *points, *smoke) }},
+		{"-mergebench", *mergebench != "", func() error { return bench.RunMergeBench(stdout, *mergebench, *points, *smoke) }},
+		{"-knnbench", *knnbench != "", func() error { return bench.RunKNNBench(stdout, *knnbench, *points, *seed, *smoke) }},
+		{"-livebench", *livebench != "", func() error { return bench.RunLiveBench(stdout, *livebench, *points, *seed, *smoke) }},
+		{"-faultbench", *faultbench != "", func() error { return bench.RunFaultBench(stdout, *faultbench, profileSeeds, *points) }},
+		{"-storagebench", *storagebench != "", func() error { return bench.RunStorageBench(stdout, *storagebench, profileSeeds, *points) }},
+	}
+	var chosen []string
+	run := func() error { return nil }
+	for _, m := range modes {
+		if m.set {
+			chosen = append(chosen, m.flag)
+			run = m.run
 		}
-		return bench.RunStorageBench(stdout, *storagebench, seeds, *storagepoints)
+	}
+	switch {
+	case len(chosen) > 1:
+		return fmt.Errorf("benchrunner: one bench mode per run, got %s", strings.Join(chosen, ", "))
+	case len(chosen) == 1:
+		return run()
 	}
 	if *list {
 		for _, e := range bench.All() {

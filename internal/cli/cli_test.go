@@ -168,7 +168,7 @@ func TestBenchCommaSeparatedAndErrors(t *testing.T) {
 func TestBenchFaultBench(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_faults.json")
 	var out bytes.Buffer
-	err := RunBench([]string{"-faultbench", path, "-faultseeds", "11", "-faultpoints", "800"}, &out)
+	err := RunBench([]string{"-faultbench", path, "-seeds", "11", "-points", "800"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,8 +180,52 @@ func TestBenchFaultBench(t *testing.T) {
 			t.Fatalf("output lacks %q:\n%s", col, out.String())
 		}
 	}
-	if err := RunBench([]string{"-faultbench", path, "-faultseeds", "nope"}, &out); err == nil {
-		t.Fatal("bad -faultseeds accepted")
+	if err := RunBench([]string{"-faultbench", path, "-seeds", "nope"}, &out); err == nil {
+		t.Fatal("bad -seeds accepted")
+	}
+}
+
+// TestBenchOneModePerRun pins RunBench's mode selection: naming two
+// bench modes is an error rather than a silent first match, nothing is
+// written, and the per-mode size and seed flags folded into -points,
+// -seed and -seeds are gone.
+func TestBenchOneModePerRun(t *testing.T) {
+	dir := t.TempDir()
+	p := func(name string) string { return filepath.Join(dir, name) }
+	cases := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"serve+chaos", []string{"-servebench", p("s.json"), "-chaosbench", p("c.json"), "-smoke"}, "-servebench, -chaosbench"},
+		{"trace+fault", []string{"-trace", p("t.json"), "-faultbench", p("f.json")}, "-trace/-metrics, -faultbench"},
+		{"metrics+part+live", []string{"-metrics", p("m.json"), "-partbench", p("p.json"), "-livebench", p("l.json"), "-smoke"},
+			"-trace/-metrics, -partbench, -livebench"},
+		{"knn+merge+storage", []string{"-knnbench", p("k.json"), "-mergebench", p("g.json"), "-storagebench", p("o.json"), "-smoke"},
+			"-mergebench, -knnbench, -storagebench"},
+	}
+	for _, removed := range []string{"kdbench", "kdreps", "tracepoints", "servepoints", "chaospoints", "chaosseed",
+		"knnseed", "liveseed", "faultseeds", "storageseeds"} {
+		cases = append(cases, struct {
+			name string
+			args []string
+			want string
+		}{"removed -" + removed, []string{"-list", "-" + removed, "1"}, "-" + removed})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var out bytes.Buffer
+			err := RunBench(c.args, &out)
+			if err == nil {
+				t.Fatalf("%v accepted:\n%s", c.args, out.String())
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("error %q does not name %s", err, c.want)
+			}
+		})
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("rejected runs wrote %d files", len(entries))
 	}
 }
 
@@ -240,7 +284,7 @@ func TestBenchTraceBench(t *testing.T) {
 	tracePath := filepath.Join(dir, "trace.json")
 	metricsPath := filepath.Join(dir, "metrics.json")
 	var out bytes.Buffer
-	err := RunBench([]string{"-trace", tracePath, "-metrics", metricsPath, "-tracepoints", "800"}, &out)
+	err := RunBench([]string{"-trace", tracePath, "-metrics", metricsPath, "-points", "800"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +333,7 @@ func TestDBSCANServeDemo(t *testing.T) {
 func TestBenchServeBench(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_serve.json")
 	var out bytes.Buffer
-	err := RunBench([]string{"-servebench", path, "-servepoints", "2000", "-smoke"}, &out)
+	err := RunBench([]string{"-servebench", path, "-points", "2000", "-smoke"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,9 @@ package dbscan
 // The paper (§III-B) spends a section on the choice of Java Queue
 // implementation (LinkedList vs ArrayList vs Vector) because DBSCAN's
 // expansion loop performs exactly as many removes as adds. In Go the
-// natural analogue is a growable ring buffer, which is the default
-// here; a pointer-chasing linked list and a naive pop-front slice are
-// kept for the BenchmarkAblationQueue comparison.
+// natural analogue is a growable ring buffer. The LinkedList and
+// pop-front-slice arms it was measured against are recorded in
+// EXPERIMENTS.md (data-structure ablations).
 
 // Queue is a FIFO of point indices backed by a growable ring buffer.
 // The zero value is an empty queue.
@@ -67,83 +67,4 @@ func (q *Queue) grow() {
 	q.buf = nb
 	q.head = 0
 	q.tail = q.size
-}
-
-// LinkedQueue is the Java-LinkedList-style FIFO (one allocation per
-// element). Present only for the ablation bench.
-type LinkedQueue struct {
-	head, tail *linkedNode
-	size       int
-	free       *linkedNode // recycled nodes, so the comparison is fair
-}
-
-type linkedNode struct {
-	v    int32
-	next *linkedNode
-}
-
-// Len returns the number of queued elements.
-func (q *LinkedQueue) Len() int { return q.size }
-
-// Empty reports whether the queue has no elements.
-func (q *LinkedQueue) Empty() bool { return q.size == 0 }
-
-// Push appends v to the back of the queue.
-func (q *LinkedQueue) Push(v int32) {
-	var n *linkedNode
-	if q.free != nil {
-		n, q.free = q.free, q.free.next
-		n.v, n.next = v, nil
-	} else {
-		n = &linkedNode{v: v}
-	}
-	if q.tail == nil {
-		q.head, q.tail = n, n
-	} else {
-		q.tail.next = n
-		q.tail = n
-	}
-	q.size++
-}
-
-// Pop removes and returns the front element; it panics when empty.
-func (q *LinkedQueue) Pop() int32 {
-	if q.head == nil {
-		panic("dbscan: Pop from empty LinkedQueue")
-	}
-	n := q.head
-	q.head = n.next
-	if q.head == nil {
-		q.tail = nil
-	}
-	q.size--
-	n.next, q.free = q.free, n
-	return n.v
-}
-
-// SliceQueue pops from the front of a slice by reslicing — the
-// "ArrayList" arm of the ablation: O(1) pop but the backing array is
-// never reclaimed while the queue lives.
-type SliceQueue struct {
-	buf  []int32
-	head int
-}
-
-// Len returns the number of queued elements.
-func (q *SliceQueue) Len() int { return len(q.buf) - q.head }
-
-// Empty reports whether the queue has no elements.
-func (q *SliceQueue) Empty() bool { return q.head >= len(q.buf) }
-
-// Push appends v to the back of the queue.
-func (q *SliceQueue) Push(v int32) { q.buf = append(q.buf, v) }
-
-// Pop removes and returns the front element; it panics when empty.
-func (q *SliceQueue) Pop() int32 {
-	if q.Empty() {
-		panic("dbscan: Pop from empty SliceQueue")
-	}
-	v := q.buf[q.head]
-	q.head++
-	return v
 }

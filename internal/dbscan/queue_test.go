@@ -7,74 +7,50 @@ import (
 	"sparkdbscan/internal/rng"
 )
 
-// fifo is the common interface of the three queue implementations.
-type fifo interface {
-	Push(int32)
-	Pop() int32
-	Empty() bool
-	Len() int
-}
-
-func queues() map[string]func() fifo {
-	return map[string]func() fifo{
-		"ring":   func() fifo { return &Queue{} },
-		"linked": func() fifo { return &LinkedQueue{} },
-		"slice":  func() fifo { return &SliceQueue{} },
-	}
-}
-
 func TestFIFOOrder(t *testing.T) {
-	for name, mk := range queues() {
-		q := mk()
-		for i := int32(0); i < 100; i++ {
-			q.Push(i)
+	q := &Queue{}
+	for i := int32(0); i < 100; i++ {
+		q.Push(i)
+	}
+	for i := int32(0); i < 100; i++ {
+		if got := q.Pop(); got != i {
+			t.Fatalf("Pop = %d, want %d", got, i)
 		}
-		for i := int32(0); i < 100; i++ {
-			if got := q.Pop(); got != i {
-				t.Fatalf("%s: Pop = %d, want %d", name, got, i)
-			}
-		}
-		if !q.Empty() {
-			t.Fatalf("%s: not empty after draining", name)
-		}
+	}
+	if !q.Empty() {
+		t.Fatal("not empty after draining")
 	}
 }
 
 func TestInterleavedPushPop(t *testing.T) {
-	for name, mk := range queues() {
-		q := mk()
-		var model []int32
-		r := rng.New(42)
-		for op := 0; op < 10000; op++ {
-			if r.Intn(2) == 0 || len(model) == 0 {
-				v := int32(r.Intn(1000))
-				q.Push(v)
-				model = append(model, v)
-			} else {
-				want := model[0]
-				model = model[1:]
-				if got := q.Pop(); got != want {
-					t.Fatalf("%s: op %d: Pop = %d, want %d", name, op, got, want)
-				}
+	q := &Queue{}
+	var model []int32
+	r := rng.New(42)
+	for op := 0; op < 10000; op++ {
+		if r.Intn(2) == 0 || len(model) == 0 {
+			v := int32(r.Intn(1000))
+			q.Push(v)
+			model = append(model, v)
+		} else {
+			want := model[0]
+			model = model[1:]
+			if got := q.Pop(); got != want {
+				t.Fatalf("op %d: Pop = %d, want %d", op, got, want)
 			}
-			if q.Len() != len(model) {
-				t.Fatalf("%s: Len = %d, want %d", name, q.Len(), len(model))
-			}
+		}
+		if q.Len() != len(model) {
+			t.Fatalf("Len = %d, want %d", q.Len(), len(model))
 		}
 	}
 }
 
 func TestPopEmptyPanics(t *testing.T) {
-	for name, mk := range queues() {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: Pop on empty did not panic", name)
-				}
-			}()
-			mk().Pop()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Pop on empty did not panic")
+		}
+	}()
+	(&Queue{}).Pop()
 }
 
 func TestRingWraparound(t *testing.T) {
@@ -133,11 +109,11 @@ func TestQueueReset(t *testing.T) {
 	}
 }
 
-func benchQueue(b *testing.B, mk func() fifo) {
+func BenchmarkQueueRing(b *testing.B) {
 	// DBSCAN's access pattern: bursts of pushes (a neighbourhood)
 	// followed by interleaved pops.
 	for i := 0; i < b.N; i++ {
-		q := mk()
+		q := &Queue{}
 		for round := 0; round < 100; round++ {
 			for j := int32(0); j < 50; j++ {
 				q.Push(j)
@@ -148,7 +124,3 @@ func benchQueue(b *testing.B, mk func() fifo) {
 		}
 	}
 }
-
-func BenchmarkQueueRing(b *testing.B)   { benchQueue(b, func() fifo { return &Queue{} }) }
-func BenchmarkQueueLinked(b *testing.B) { benchQueue(b, func() fifo { return &LinkedQueue{} }) }
-func BenchmarkQueueSlice(b *testing.B)  { benchQueue(b, func() fifo { return &SliceQueue{} }) }

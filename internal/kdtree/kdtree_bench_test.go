@@ -1,10 +1,9 @@
 package kdtree
 
-// Microbenchmarks for the packed query engine against the retained
-// LegacyTree baseline, over the grid the perf trajectory tracks:
-// {build, Radius, RadiusCount, RadiusLimit} × d ∈ {2, 10} × n ∈ {10k,
-// 100k}. cmd/benchrunner -kdbench runs the same workloads outside the
-// testing framework and records them in BENCH_kdtree.json.
+// Microbenchmarks for the packed query engine over the grid the perf
+// trajectory tracks: {build, Radius, RadiusCount, RadiusLimit} ×
+// d ∈ {2, 10} × n ∈ {10k, 100k}. BENCH_kdtree.json records the same
+// grid against the pointer-chasing tree the packed layout replaced.
 //
 //	go test ./internal/kdtree -bench . -benchmem
 
@@ -48,11 +47,6 @@ func BenchmarkBuild(b *testing.B) {
 					Build(ds)
 				}
 			})
-			b.Run(fmt.Sprintf("legacy/d%d/n%s", dim, sz.tag), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					BuildLegacy(ds)
-				}
-			})
 		}
 	}
 }
@@ -92,7 +86,6 @@ func BenchmarkQueries(b *testing.B) {
 			ds := benchDataset(sz.n, dim)
 			eps := benchEps(dim)
 			packed := Build(ds)
-			legacy := BuildLegacy(ds)
 			grid := []struct {
 				op    string
 				bench func(*testing.B, Index, *geom.Dataset, float64)
@@ -104,9 +97,6 @@ func BenchmarkQueries(b *testing.B) {
 			for _, g := range grid {
 				b.Run(fmt.Sprintf("%s/packed/d%d/n%s", g.op, dim, sz.tag), func(b *testing.B) {
 					g.bench(b, packed, ds, eps)
-				})
-				b.Run(fmt.Sprintf("%s/legacy/d%d/n%s", g.op, dim, sz.tag), func(b *testing.B) {
-					g.bench(b, legacy, ds, eps)
 				})
 			}
 		}

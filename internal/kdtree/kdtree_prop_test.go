@@ -1,7 +1,7 @@
 package kdtree
 
 // Equivalence properties of the packed tree against the brute-force
-// reference (and the retained LegacyTree): exact Radius/RadiusCount
+// reference: exact Radius/RadiusCount
 // agreement and the RadiusLimit subset contract, across leaf sizes,
 // dimensions and degenerate inputs — plus determinism of the parallel
 // build. CI runs this file under -race to lock in the concurrent build.
@@ -98,28 +98,30 @@ func TestPackedTreeEquivalenceAllIdentical(t *testing.T) {
 	}
 }
 
-func TestPackedTreeMatchesLegacy(t *testing.T) {
-	// The legacy tree is itself property-tested history; agreement in
-	// result sets (order may differ) is an independent cross-check.
-	// Same leaf size on both sides so tree shape — and therefore metered
-	// build work — must agree exactly.
-	ds := clusteredDataset(321, 1500, 10, 6, 8)
-	tree := BuildLeafSize(ds, 16)
-	legacy := BuildLegacyLeafSize(ds, 16)
-	for qi := int32(0); qi < 1500; qi += 53 {
-		q := ds.At(qi)
-		got := sortedCopy(tree.Radius(q, 25, nil, nil))
-		want := sortedCopy(legacy.Radius(q, 25, nil, nil))
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("q=%d: packed %v legacy %v", qi, got, want)
-		}
-		if a, b := tree.RadiusCount(q, 25, nil), legacy.RadiusCount(q, 25, nil); a != b {
-			t.Fatalf("q=%d: count %d vs legacy %d", qi, a, b)
-		}
+func TestBuildOpsPinned(t *testing.T) {
+	// BuildOps prices the simulated tree-build phase, so the metered
+	// work of fixed datasets is pinned exactly: a change in split
+	// policy, leaf handling or the parallel build moves these numbers
+	// (and every simulated figure) and must be deliberate.
+	cases := []struct {
+		name     string
+		ds       *geom.Dataset
+		leafSize int
+		want     int64
+	}{
+		{"d10/n1500/leaf16", clusteredDataset(321, 1500, 10, 6, 8), 16, 12000},
+		{"d10/n700/leaf1", clusteredDataset(1001, 700, 10, 4, 6), 1, 7376},
+		{"d10/n700/leaf3", clusteredDataset(1003, 700, 10, 4, 6), 3, 6300},
+		{"d10/n700/leaf16", clusteredDataset(1016, 700, 10, 4, 6), 16, 4900},
+		{"d10/n700/leaf64", clusteredDataset(1064, 700, 10, 4, 6), 64, 3500},
+		// Above minParallelBuild at the default leaf size: the
+		// parallel build path.
+		{"d10/n8192/default", clusteredDataset(888, minParallelBuild*2, 10, 5, 12), defaultLeafSize, 57344},
 	}
-	if tree.BuildOps() != legacy.BuildOps() {
-		t.Fatalf("metered build work diverged: packed %d legacy %d",
-			tree.BuildOps(), legacy.BuildOps())
+	for _, c := range cases {
+		if got := BuildLeafSize(c.ds, c.leafSize).BuildOps(); got != c.want {
+			t.Errorf("%s: BuildOps = %d, want %d", c.name, got, c.want)
+		}
 	}
 }
 

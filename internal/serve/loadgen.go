@@ -193,20 +193,16 @@ func (o LoadOptions) assign(s *Server, q []float64) (Assignment, error) {
 // RunLoad drives s with w under o and reports the outcome taxonomy.
 func RunLoad(s *Server, w Workload, o LoadOptions) LoadReport {
 	if o.QPS > 0 {
-		return runOpenLoop(s, w, o)
+		return openLoop(s, w, o)
 	}
-	return runClosedLoop(s, w, o)
+	return closedLoop(s, w, o)
 }
 
-// ClosedLoop measures capacity: clients goroutines issue queries
+// closedLoop measures capacity: o.Clients goroutines issue queries
 // back-to-back (each waits for its answer before sending the next) for
-// duration d. Throughput is bounded by the server; adding clients
+// o.Duration. Throughput is bounded by the server; adding clients
 // raises concurrency, not offered load per client.
-func ClosedLoop(s *Server, w Workload, clients int, d time.Duration) LoadReport {
-	return runClosedLoop(s, w, LoadOptions{Clients: clients, Duration: d})
-}
-
-func runClosedLoop(s *Server, w Workload, o LoadOptions) LoadReport {
+func closedLoop(s *Server, w Workload, o LoadOptions) LoadReport {
 	clients := o.Clients
 	if clients < 1 {
 		clients = 1
@@ -234,17 +230,13 @@ func runClosedLoop(s *Server, w Workload, o LoadOptions) LoadReport {
 	return rep
 }
 
-// OpenLoop measures behaviour under a fixed offered load: queries
-// arrive at qps per second regardless of how fast answers come back
+// openLoop measures behaviour under a fixed offered load: queries
+// arrive at o.QPS per second regardless of how fast answers come back
 // (each in its own goroutine), which is what exposes queueing delay
 // and shedding — a closed loop self-throttles and cannot overload the
 // server. Arrivals the pacer falls behind on are issued in a burst,
 // preserving the offered rate.
-func OpenLoop(s *Server, w Workload, qps float64, d time.Duration) LoadReport {
-	return runOpenLoop(s, w, LoadOptions{QPS: qps, Duration: d})
-}
-
-func runOpenLoop(s *Server, w Workload, o LoadOptions) LoadReport {
+func openLoop(s *Server, w Workload, o LoadOptions) LoadReport {
 	if o.QPS <= 0 || w.N() == 0 {
 		return LoadReport{Mode: "open", TargetQPS: o.QPS}
 	}

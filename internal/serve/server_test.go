@@ -277,7 +277,7 @@ func TestLoadGenerators(t *testing.T) {
 	defer srv.Close()
 	w := DatasetWorkload(mA.ds)
 
-	closed := ClosedLoop(srv, w, 8, 60*time.Millisecond)
+	closed := RunLoad(srv, w, LoadOptions{Clients: 8, Duration: 60 * time.Millisecond})
 	if closed.Completed == 0 || closed.AchievedQPS <= 0 {
 		t.Fatalf("closed loop served nothing: %+v", closed)
 	}
@@ -285,7 +285,7 @@ func TestLoadGenerators(t *testing.T) {
 		t.Fatalf("closed-loop books don't balance: %+v", closed)
 	}
 
-	open := OpenLoop(srv, w, 2000, 60*time.Millisecond)
+	open := RunLoad(srv, w, LoadOptions{QPS: 2000, Duration: 60 * time.Millisecond})
 	if open.Issued == 0 {
 		t.Fatalf("open loop issued nothing: %+v", open)
 	}
